@@ -1,7 +1,8 @@
 // Microbenchmarks for the per-scheme instrumentation costs the paper reasons about:
 // the hazard-pointer publish+fence, the epoch announcement, the StackTrack split
 // checkpoint (a counter increment in the common case), register exposure at segment
-// commit, and one reclaimer-side thread inspection.
+// commit, one reclaimer-side thread inspection, and the cost of one hop of a list
+// traversal with and without StackTrack's instrumentation.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -11,6 +12,7 @@
 #include "ds/list.h"
 #include "smr/epoch.h"
 #include "smr/hazard.h"
+#include "smr/leaky.h"
 #include "smr/stacktrack_smr.h"
 
 namespace stacktrack {
@@ -93,21 +95,31 @@ void BM_InspectThread(benchmark::State& state) {
 }
 BENCHMARK(BM_InspectThread);
 
-void BM_ListContains_StackTrack(benchmark::State& state) {
+// One hop of a list traversal: Contains of a key past the last node walks all
+// range(0) nodes, and `per_hop` is the time per node visited (the op brackets are
+// amortized over the walk). LeakySmr is the uninstrumented baseline — plain acquire
+// loads — and StackTrackSmr pays what a real traversal pays per hop: transactional
+// loads, checkpoints and its share of segment commits.
+template <typename Smr>
+void BM_ListHop(benchmark::State& state) {
   runtime::ThreadScope scope;
-  smr::StackTrackSmr::Domain domain;
+  typename Smr::Domain domain;
   auto& h = domain.AcquireHandle();
-  ds::LockFreeList<smr::StackTrackSmr> list;
-  for (uint64_t key = 1; key <= 512; ++key) {
+  ds::LockFreeList<Smr> list;
+  const uint64_t nodes = static_cast<uint64_t>(state.range(0));
+  for (uint64_t key = 1; key <= nodes; ++key) {
     list.Insert(h, key * 2, key);
   }
-  uint64_t key = 1;
+  const uint64_t past_last = nodes * 2 + 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(list.Contains(h, key * 2 % 1024));
-    key = key * 1664525 + 1013904223;
+    benchmark::DoNotOptimize(list.Contains(h, past_last));
   }
+  state.counters["per_hop"] =
+      benchmark::Counter(static_cast<double>(state.iterations()) * static_cast<double>(nodes),
+                         benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_ListContains_StackTrack);
+BENCHMARK_TEMPLATE(BM_ListHop, smr::LeakySmr)->Arg(256);
+BENCHMARK_TEMPLATE(BM_ListHop, smr::StackTrackSmr)->Arg(256);
 
 }  // namespace
 }  // namespace stacktrack

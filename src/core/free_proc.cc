@@ -91,8 +91,7 @@ bool ScanRootsOnce(StContext& reclaimer, const StContext& target, uintptr_t base
       continue;
     }
     for (uintptr_t addr = lo; addr + sizeof(uintptr_t) <= hi; addr += sizeof(uintptr_t)) {
-      const uintptr_t word =
-          reinterpret_cast<const std::atomic<uintptr_t>*>(addr)->load(std::memory_order_acquire);
+      const uintptr_t word = LoadFrameWord(addr);
       ++scanned;
       if (word - base < length) {
         reclaimer.stats.scan_words += scanned;

@@ -173,9 +173,7 @@ void CollectOneThread(StContext& reclaimer, const StContext& target, uint32_t ti
         continue;
       }
       for (uintptr_t addr = lo; addr + sizeof(uintptr_t) <= hi; addr += sizeof(uintptr_t)) {
-        const uintptr_t word =
-            reinterpret_cast<const std::atomic<uintptr_t>*>(addr)->load(
-                std::memory_order_acquire);
+        const uintptr_t word = LoadFrameWord(addr);
         ++scanned;
         if (word != 0) {
           snap.roots.push_back({word, tid});

@@ -180,9 +180,12 @@ class StContext {
   }
 
   // ---- Instrumented shared-memory access -------------------------------------------
+  // Load (and Protect, which is a Load) is forced inline so that a transactional read
+  // inside an operation body is the htm layer's straight-line fast path; the
+  // slow-path segment's SlowLoad stays out of line.
   template <typename T>
-  T Load(const std::atomic<T>& src) {
-    if (slow_segment_) {
+  [[gnu::always_inline]] T Load(const std::atomic<T>& src) {
+    if (slow_segment_) [[unlikely]] {
       return SlowLoad(src);
     }
     return htm::TxLoad(src);
@@ -216,7 +219,7 @@ class StContext {
   // StackTrack needs no publish-validate protocol: visibility comes from the scan plus
   // transaction conflicts. Part of the scheme-generic SMR API.
   template <typename T>
-  T Protect(const std::atomic<T>& src, uint32_t /*slot*/) {
+  [[gnu::always_inline]] T Protect(const std::atomic<T>& src, uint32_t /*slot*/) {
     return Load(src);
   }
   template <typename T>
@@ -325,7 +328,7 @@ class StContext {
   };
 
   template <typename T>
-  T SlowLoad(const std::atomic<T>& src) {
+  [[gnu::noinline]] T SlowLoad(const std::atomic<T>& src) {
     static_assert(sizeof(T) == 8 && std::is_trivially_copyable_v<T>);
     while (true) {
       const T value = htm::SafeLoad(src);
@@ -420,6 +423,18 @@ class ActivityArray {
 // Number of threads currently executing slow-path segments; scanners consult reference
 // sets only when nonzero (paper §5.4).
 std::atomic<uint32_t>& GlobalSlowPathCount();
+
+// One word of another thread's tracked frame, read by the conservative root scans
+// (core/free_proc.cc, core/reclaim_engine.cc). The bounds the scanner read may
+// already belong to a deregistered frame whose stack bytes now hold a different
+// operation's frame; the splits/oper protocol discards such a scan, and the stack
+// stays mapped while its thread lives, so only the read itself must be allowed.
+// Exempt from ASan, which would report a read that lands in a redzone of the
+// replacing frame (how often depends on each operation's frame layout).
+[[gnu::no_sanitize_address]] inline uintptr_t LoadFrameWord(uintptr_t addr) {
+  return reinterpret_cast<const std::atomic<uintptr_t>*>(addr)->load(
+      std::memory_order_acquire);
+}
 
 template <uint32_t N>
 TrackedFrame<N>::TrackedFrame(StContext& ctx) : ctx_(ctx) {

@@ -114,15 +114,21 @@ inline StmEngine ActiveStmEngineFast() { return internal::g_stm_engine; }
 // below is a single predictable branch on the process-start-latched engine id with
 // both specializations inlined into the call site, so selecting an engine at runtime
 // costs the lazy hot path nothing beyond the same kind of check the RTM split
-// already does.
+// already does. The load/store chain (TxLoad/TxStore -> Stm*Word -> each engine's
+// Tx*Word) is forced inline: the instrumented operations that call it are large and
+// contain setjmp, where GCC's heuristics would otherwise leave a call per access.
 
 template <StmEngine E>
 struct EngineOps;
 
 template <>
 struct EngineOps<StmEngine::kLazy> {
-  static uint64_t LoadWord(const std::atomic<uint64_t>* a) { return soft::TxLoadWord(a); }
-  static void StoreWord(std::atomic<uint64_t>* a, uint64_t v) { soft::TxStoreWord(a, v); }
+  [[gnu::always_inline]] static uint64_t LoadWord(const std::atomic<uint64_t>* a) {
+    return soft::TxLoadWord(a);
+  }
+  [[gnu::always_inline]] static void StoreWord(std::atomic<uint64_t>* a, uint64_t v) {
+    soft::TxStoreWord(a, v);
+  }
   static void Commit() { soft::Commit(); }
   [[noreturn]] static void Abort(int cause) { soft::Abort(cause); }
   static bool InTx() { return soft::CurrentTx().active; }
@@ -139,8 +145,12 @@ struct EngineOps<StmEngine::kLazy> {
 
 template <>
 struct EngineOps<StmEngine::kOrec> {
-  static uint64_t LoadWord(const std::atomic<uint64_t>* a) { return orec::TxLoadWord(a); }
-  static void StoreWord(std::atomic<uint64_t>* a, uint64_t v) { orec::TxStoreWord(a, v); }
+  [[gnu::always_inline]] static uint64_t LoadWord(const std::atomic<uint64_t>* a) {
+    return orec::TxLoadWord(a);
+  }
+  [[gnu::always_inline]] static void StoreWord(std::atomic<uint64_t>* a, uint64_t v) {
+    orec::TxStoreWord(a, v);
+  }
   static void Commit() { orec::Commit(); }
   [[noreturn]] static void Abort(int cause) { orec::Abort(cause); }
   static bool InTx() { return orec::CurrentTx().active; }
@@ -155,11 +165,11 @@ struct EngineOps<StmEngine::kOrec> {
   static const TxStats& Stats() { return orec::CurrentTx().stats; }
 };
 
-inline uint64_t StmLoadWord(const std::atomic<uint64_t>* a) {
+[[gnu::always_inline]] inline uint64_t StmLoadWord(const std::atomic<uint64_t>* a) {
   return ActiveStmEngineFast() == StmEngine::kLazy ? EngineOps<StmEngine::kLazy>::LoadWord(a)
                                                    : EngineOps<StmEngine::kOrec>::LoadWord(a);
 }
-inline void StmStoreWord(std::atomic<uint64_t>* a, uint64_t v) {
+[[gnu::always_inline]] inline void StmStoreWord(std::atomic<uint64_t>* a, uint64_t v) {
   ActiveStmEngineFast() == StmEngine::kLazy ? EngineOps<StmEngine::kLazy>::StoreWord(a, v)
                                             : EngineOps<StmEngine::kOrec>::StoreWord(a, v);
 }
@@ -237,7 +247,7 @@ inline void TxCommit() {
 // as words.
 
 template <typename T>
-inline T TxLoad(const std::atomic<T>& src) {
+[[gnu::always_inline]] inline T TxLoad(const std::atomic<T>& src) {
   static_assert(sizeof(T) == 8 && std::is_trivially_copyable_v<T>);
   if (ActiveBackendFast() == BackendKind::kRtm) {
     return src.load(std::memory_order_acquire);
@@ -247,7 +257,7 @@ inline T TxLoad(const std::atomic<T>& src) {
 }
 
 template <typename T>
-inline void TxStore(std::atomic<T>& dst, T value) {
+[[gnu::always_inline]] inline void TxStore(std::atomic<T>& dst, T value) {
   static_assert(sizeof(T) == 8 && std::is_trivially_copyable_v<T>);
   if (ActiveBackendFast() == BackendKind::kRtm) {
     dst.store(value, std::memory_order_release);

@@ -35,6 +35,11 @@
 //
 // Aborts transfer control to the begin point with longjmp, identical to the lazy
 // engine; the split engine's contract (core/split_engine.h) holds unchanged.
+//
+// Code shape matches the lazy engine's: TxLoadWord, TxStoreWord and the first-touch
+// read-lock publish are forced inline into the instrumented operations, so only
+// contended orecs, write-lock acquisition and the capacity/spurious checks cost a
+// call.
 #ifndef STACKTRACK_HTM_OREC_BACKEND_H_
 #define STACKTRACK_HTM_OREC_BACKEND_H_
 
@@ -87,8 +92,10 @@ struct UndoEntry {
   uint64_t value;  // pre-store value, restored in reverse order on abort
 };
 
+// Every member has a constant initializer: the descriptor is a `constinit`
+// thread-local (below), so a member that needs dynamic initialization fails to compile.
 struct TxDesc {
-  std::jmp_buf env;  // armed by the begin-point macro
+  std::jmp_buf env = {};  // armed by the begin-point macro
   bool active = false;
   uint32_t tid = runtime::kInvalidThreadId;
   uint32_t capacity_limit = 0;   // access budget for this attempt
@@ -101,15 +108,16 @@ struct TxDesc {
   uint32_t read_count = 0;
   uint32_t write_count = 0;
   uint32_t undo_count = 0;
-  uint32_t read_orecs[kReadSetEntries];    // orecs whose read slot we hold
-  uint32_t write_orecs[kWriteSetEntries];  // orecs whose writer word we hold
-  uint64_t write_prelock[kWriteSetEntries];  // their pre-lock words, for release
-  UndoEntry undo_log[kUndoLogEntries];
+  uint32_t read_orecs[kReadSetEntries] = {};    // orecs whose read slot we hold
+  uint32_t write_orecs[kWriteSetEntries] = {};  // orecs whose writer word we hold
+  uint64_t write_prelock[kWriteSetEntries] = {};  // their pre-lock words, for release
+  UndoEntry undo_log[kUndoLogEntries] = {};
   runtime::Xorshift128 rng{0x02f1beef};
   TxStats stats;
 };
 
-inline thread_local TxDesc tls_tx;
+// Constant-initialized, like the lazy engine's: no access pays a TLS init guard.
+inline constinit thread_local TxDesc tls_tx;
 inline TxDesc& CurrentTx() { return tls_tx; }
 
 // Writer words, one per orec. Contiguous like the lazy stripe table: stays
@@ -161,7 +169,7 @@ void WriteLockAcquire(TxDesc& tx, uint32_t orec);   // full acquisition protocol
 
 // First touch of `orec` by this transaction: publish our read slot and resolve any
 // writer conflict. Returns with the slot held and the read logged.
-inline void AcquireReadLock(TxDesc& tx, uint32_t orec) {
+[[gnu::always_inline]] inline void AcquireReadLock(TxDesc& tx, uint32_t orec) {
   if (tx.read_count >= kReadSetEntries) [[unlikely]] {
     AbortCapacity();  // before the slot is set: nothing to roll back
   }
@@ -178,7 +186,7 @@ inline void AcquireReadLock(TxDesc& tx, uint32_t orec) {
   tx.read_count += 1;
 }
 
-inline uint64_t TxLoadWord(const std::atomic<uint64_t>* addr) {
+[[gnu::always_inline]] inline uint64_t TxLoadWord(const std::atomic<uint64_t>* addr) {
   TxDesc& tx = tls_tx;
   ++tx.stats.loads;
   const uint32_t acc = tx.access_count + 1;
@@ -195,7 +203,7 @@ inline uint64_t TxLoadWord(const std::atomic<uint64_t>* addr) {
   return addr->load(std::memory_order_acquire);
 }
 
-inline void TxStoreWord(std::atomic<uint64_t>* addr, uint64_t value) {
+[[gnu::always_inline]] inline void TxStoreWord(std::atomic<uint64_t>* addr, uint64_t value) {
   TxDesc& tx = tls_tx;
   ++tx.stats.stores;
   const uint32_t acc = tx.access_count + 1;

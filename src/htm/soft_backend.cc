@@ -93,6 +93,19 @@ uint64_t TxLoadWordChecked(uint64_t value, uint32_t stripe, uint64_t version) {
   return value;
 }
 
+uint64_t TxLoadWordAfterWrite(const std::atomic<uint64_t>* addr) {
+  TxDesc& tx = tls_tx;
+  // Read-own-writes: the instrumented operations write at most a few words per
+  // segment, so a linear scan beats any hashing.
+  for (uint32_t w = 0; w < tx.write_count; ++w) {
+    if (tx.write_log[w].addr == addr) {
+      ++tx.stats.loads;  // counted so `loads` means "TxLoad calls" in both engines
+      return tx.write_log[w].value;
+    }
+  }
+  return LoadUnwritten(tx, addr);
+}
+
 uint64_t TxLoadWordContended(const std::atomic<uint64_t>* addr) {
   TxDesc& tx = tls_tx;
   const uint32_t stripe = StripeIndexOf(reinterpret_cast<uintptr_t>(addr));

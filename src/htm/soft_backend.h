@@ -16,10 +16,10 @@
 //    and (c) freed memory is poisoned with 0xDD bytes, which reads as a *marked*
 //    pointer (LSB set) and as a key larger than any benchmark key — both route the
 //    data-structure code to its retry/exit paths, which hit a checkpoint and abort.
-//  * Writes are buffered in a small linear log (read-own-writes via linear scan; the
-//    instrumented operations write at most a few words per segment); commit try-locks
-//    the written stripes, validates the read log, publishes, and releases with a fresh
-//    clock value.
+//  * Writes are buffered in a small linear log (read-own-writes via linear scan, run
+//    only once the segment has buffered a write; the instrumented operations write at
+//    most a few words per segment); commit try-locks the written stripes, validates
+//    the read log, publishes, and releases with a fresh clock value.
 //  * Capacity aborts fire when the access-log size exceeds the budget reported by
 //    runtime::MachineModel at begin time — this reproduces the paper's hyperthreading
 //    capacity cliff — or when the fixed-size logs overflow outright. Spurious kOther
@@ -27,6 +27,11 @@
 //
 // Aborts transfer control back to the begin point with longjmp; the split engine owns
 // rolling back the tracked frame (see core/split_engine.h for the contract).
+//
+// Code shape: TxLoadWord is forced inline into every instrumented operation, so a
+// read of a fresh or cached line is straight-line code with no call. Everything else
+// (read-own-writes, a locked stripe, the capacity/spurious checks) is an out-of-line
+// cold path.
 #ifndef STACKTRACK_HTM_SOFT_BACKEND_H_
 #define STACKTRACK_HTM_SOFT_BACKEND_H_
 
@@ -63,8 +68,10 @@ struct WriteLogEntry {
   uint64_t value;
 };
 
+// Every member has a constant initializer: the descriptor is a `constinit`
+// thread-local (below), so a member that needs dynamic initialization fails to compile.
 struct TxDesc {
-  std::jmp_buf env;  // armed by the begin-point macro
+  std::jmp_buf env = {};  // armed by the begin-point macro
   bool active = false;
   uint32_t capacity_limit = 0;  // access-log budget for this attempt
   uint32_t fast_read_limit = 0;  // min(log size, capacity), or 0 when spurious
@@ -82,14 +89,15 @@ struct TxDesc {
   // traversals hit this constantly (a node's key and next field share a line).
   // 0 is the sentinel (line 0 = the first 64 bytes of address space, never heap).
   uintptr_t last_read_line = 0;
-  ReadEntry read_log[kReadLogEntries];
-  WriteLogEntry write_log[kWriteLogEntries];
+  ReadEntry read_log[kReadLogEntries] = {};
+  WriteLogEntry write_log[kWriteLogEntries] = {};
   runtime::Xorshift128 rng{0x5eedbeef};
   TxStats stats;
 };
 
-// Inline thread-local so instrumented reads avoid an out-of-line call per access.
-inline thread_local TxDesc tls_tx;
+// Inline and constant-initialized: an access is a fixed offset from the thread
+// pointer, with no out-of-line call and no TLS init guard.
+inline constinit thread_local TxDesc tls_tx;
 inline TxDesc& CurrentTx() { return tls_tx; }
 
 // Global stripe table and commit clock (single definitions via inline variables).
@@ -120,17 +128,13 @@ void Commit();
 uint64_t TxLoadWordContended(const std::atomic<uint64_t>* addr);  // stripe was locked
 // Read index reached fast_read_limit: capacity check, log, spurious draw.
 uint64_t TxLoadWordChecked(uint64_t value, uint32_t stripe, uint64_t version);
+// The segment has buffered a write: read-own-writes scan, then the logged read.
+uint64_t TxLoadWordAfterWrite(const std::atomic<uint64_t>* addr);
 
-inline uint64_t TxLoadWord(const std::atomic<uint64_t>* addr) {
-  TxDesc& tx = tls_tx;
-  // Read-own-writes: the instrumented operations write at most a few words per
-  // segment, so a linear scan beats any hashing.
-  for (uint32_t w = 0; w < tx.write_count; ++w) {
-    if (tx.write_log[w].addr == addr) {
-      ++tx.stats.loads;  // counted so `loads` means "TxLoad calls" in both engines
-      return tx.write_log[w].value;
-    }
-  }
+// Logged read of a word this segment has not written. Shared by the inline fast path
+// and TxLoadWordAfterWrite.
+[[gnu::always_inline]] inline uint64_t LoadUnwritten(TxDesc& tx,
+                                                     const std::atomic<uint64_t>* addr) {
   const uintptr_t line = reinterpret_cast<uintptr_t>(addr) >> 6;
   if (line == tx.last_read_line) {
     // Cached: the line is already in the read set. Word loads are untearable, and
@@ -144,7 +148,7 @@ inline uint64_t TxLoadWord(const std::atomic<uint64_t>* addr) {
   }
   const uint32_t stripe = StripeIndexOf(reinterpret_cast<uintptr_t>(addr));
   const uint64_t version = g_stripes[stripe].load(std::memory_order_acquire);
-  if (StripeLocked(version)) {
+  if (StripeLocked(version)) [[unlikely]] {
     return TxLoadWordContended(addr);  // wait out the committer (or abort)
   }
   const uint64_t value = addr->load(std::memory_order_acquire);
@@ -164,7 +168,17 @@ inline uint64_t TxLoadWord(const std::atomic<uint64_t>* addr) {
   return value;
 }
 
-inline void TxStoreWord(std::atomic<uint64_t>* addr, uint64_t value) {
+[[gnu::always_inline]] inline uint64_t TxLoadWord(const std::atomic<uint64_t>* addr) {
+  TxDesc& tx = tls_tx;
+  // Only a segment that has buffered a write can read its own writes; until the
+  // first store, reads skip the write-log scan.
+  if (tx.write_count != 0) [[unlikely]] {
+    return TxLoadWordAfterWrite(addr);
+  }
+  return LoadUnwritten(tx, addr);
+}
+
+[[gnu::always_inline]] inline void TxStoreWord(std::atomic<uint64_t>* addr, uint64_t value) {
   TxDesc& tx = tls_tx;
   ++tx.stats.stores;
   for (uint32_t w = 0; w < tx.write_count; ++w) {

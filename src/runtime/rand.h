@@ -30,11 +30,13 @@ class SplitMix64 {
 };
 
 // xoshiro-style xorshift128+: fast enough for one draw per simulated event.
+// Constexpr-constructible so the STM descriptors that embed one can be `constinit`
+// thread-locals (htm/soft_backend.h, htm/orec_backend.h).
 class Xorshift128 {
  public:
-  explicit Xorshift128(uint64_t seed = 0x853c49e6748fea9bULL) { Seed(seed); }
+  explicit constexpr Xorshift128(uint64_t seed = 0x853c49e6748fea9bULL) { Seed(seed); }
 
-  void Seed(uint64_t seed) {
+  constexpr void Seed(uint64_t seed) {
     SplitMix64 mix(seed);
     s0_ = mix.Next();
     s1_ = mix.Next();

@@ -121,6 +121,35 @@ TEST_P(StmContractTest, QuarantineAbortsInFlightReaders) {
   EXPECT_EQ(aborts, 1);
 }
 
+// A fresh line read after the segment's first store takes the lazy engine's
+// after-write path (read-own-writes scan, then the logged read) rather than the
+// inline fast path. That read must still enter the read set: quarantining its line
+// aborts the commit, and the load is counted.
+TEST_P(StmContractTest, ReadAfterStoreEntersReadSet) {
+  alignas(64) static std::atomic<uint64_t> lines[16];
+  std::atomic<uint64_t>& a = lines[0];
+  std::atomic<uint64_t>& b = lines[8];  // next cache line
+  a.store(0);
+  b.store(9);
+  const TxStats before = StmStats();
+  volatile int aborts = 0;
+  const int rc = ST_HTM_BEGIN_POINT();
+  if (rc != kTxStarted) {
+    aborts = aborts + 1;
+    EXPECT_TRUE(IsConflictCause(static_cast<AbortCause>(rc)))
+        << "cause: " << AbortCauseName(static_cast<AbortCause>(rc));
+  } else {
+    TxStore(a, uint64_t{1});
+    EXPECT_EQ(TxLoad(b), 9u);
+    QuarantineRange(&b, sizeof(b));
+    TxCommit();
+    FAIL() << "commit survived quarantine of a line read after a store";
+  }
+  EXPECT_EQ(aborts, 1);
+  EXPECT_EQ(StmStats().loads, before.loads + 1);
+  EXPECT_EQ(a.load(), 0u);  // the aborted store never published
+}
+
 TEST_P(StmContractTest, SpuriousAbortInjection) {
   // hardware_contexts() == 0 makes one registered thread oversubscribed, and with
   // probability 1.0 the very first transactional access must abort with kOther.
