@@ -138,14 +138,8 @@ WorkloadResult RunTimed(Domain& domain, const WorkloadConfig& cfg, PerOp op) {
   result.total_ops = total_ops.load(std::memory_order_relaxed);
   const double seconds = std::chrono::duration<double>(end - start).count();
   result.ops_per_sec = seconds > 0 ? static_cast<double>(result.total_ops) / seconds : 0.0;
-  core::Stats stats_after = core::StatsRegistry::Instance().Sum();
-  // Stats only grow; the delta isolates this window.
-  const uint64_t* before_words = reinterpret_cast<const uint64_t*>(&stats_before);
-  uint64_t* after_words = reinterpret_cast<uint64_t*>(&stats_after);
-  for (std::size_t i = 0; i < sizeof(core::Stats) / sizeof(uint64_t); ++i) {
-    after_words[i] -= before_words[i];
-  }
-  result.stats = stats_after;
+  result.stats = core::StatsRegistry::Instance().Sum();
+  result.stats -= stats_before;  // stats only grow; the delta isolates this window
   return result;
 }
 

@@ -485,13 +485,8 @@ Cell RunCell(const Preset& preset, core::PredictorKind kind, unsigned threads,
       cell.ops += ops[t];
     }
   }  // domain dtor folds every worker context's Stats into the registry total
-  core::Stats after = core::StatsRegistry::Instance().Sum();
-  const uint64_t* a = reinterpret_cast<const uint64_t*>(&after);
-  const uint64_t* b = reinterpret_cast<const uint64_t*>(&before);
-  uint64_t* d = reinterpret_cast<uint64_t*>(&cell.stats);
-  for (std::size_t i = 0; i < sizeof(core::Stats) / sizeof(uint64_t); ++i) {
-    d[i] = a[i] - b[i];
-  }
+  cell.stats = core::StatsRegistry::Instance().Sum();
+  cell.stats -= before;
   cell.ops_per_sec = static_cast<double>(cell.ops) / cell.seconds;
   return cell;
 }

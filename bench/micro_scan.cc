@@ -5,16 +5,13 @@
 // root sweep observes the pins). Each bench thread acts as an independent reclaimer
 // whose free set holds its own slice of the pinned candidates and repeatedly runs the
 // hashed SCAN_AND_FREE: because every candidate is pinned, each scan is a full
-// verdict round (root collection or snapshot reuse + one range probe per candidate)
+// verdict round (a private root-table collection + one range probe per candidate)
 // that frees nothing — a steady-state workload whose cost is exactly the scan path.
+// Every reclaimer collects its own table each round, so collection cost grows with
+// the reclaimer count.
 //
-// Before the ReclaimEngine refactor every reclaimer re-collected all threads' roots
-// privately per scan, so aggregate throughput *fell* as reclaimers were added; with
-// the shared root-snapshot service one reclaimer collects and the rest validate the
-// generation and reuse, so throughput scales with reclaimer count instead.
-//
-// Run with --benchmark_format=json; the committed BENCH_scan.json trajectory file
-// records candidate verdicts per second (items_per_second) pre/post refactor.
+// Run with --benchmark_format=json; the committed BENCH_scan.json file records
+// candidate verdicts per second (items_per_second) for two commits (pre/post).
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -35,7 +32,7 @@ constexpr std::size_t kNodeBytes = 64;
 
 // Two victim contexts jointly pin all candidates: 6 frames x 48 words = 288 root
 // words each, 256 of which are used. Victims never run operations, so their
-// splits/oper generations stay stable — the regime in which snapshot reuse applies.
+// splits/oper counters never move and no inspection retries.
 constexpr int kVictims = 2;
 constexpr uint32_t kFrameWords = core::kMaxFrameWords;
 constexpr uint32_t kFramesPerVictim = core::kMaxFrames;
@@ -140,7 +137,7 @@ BENCHMARK(BM_ScanHashedConcurrentReclaimers)
     ->Setup(SetUpPinnedCandidates)
     ->Teardown(TearDownPinnedCandidates);
 
-// Reference point: the per-candidate Algorithm 1 loop (no shared table at all).
+// Reference point: the per-candidate Algorithm 1 loop (no root table at all).
 void BM_ScanPerCandidateConcurrentReclaimers(benchmark::State& state) {
   runtime::ThreadScope scope;
   core::StConfig config = BenchConfig();

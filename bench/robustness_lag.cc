@@ -237,13 +237,8 @@ LagReport RunScenario(const Options& opt, typename Smr::Domain& domain,
   report.retires = snap.totals.retires;
   report.frees = snap.totals.frees;
   report.ops = total_ops.load(std::memory_order_relaxed);
-  core::Stats registry_after = core::StatsRegistry::Instance().Sum();
-  const uint64_t* before = reinterpret_cast<const uint64_t*>(&registry_before);
-  uint64_t* after = reinterpret_cast<uint64_t*>(&registry_after);
-  for (std::size_t i = 0; i < sizeof(core::Stats) / sizeof(uint64_t); ++i) {
-    after[i] -= before[i];
-  }
-  report.service_delta = registry_after;
+  report.service_delta = core::StatsRegistry::Instance().Sum();
+  report.service_delta -= registry_before;
   return report;
 }
 

@@ -31,11 +31,7 @@ std::string LatencyToJson(const LatencyHistogram& histogram) {
 
 core::Stats StatsDelta(const core::Stats& before, const core::Stats& after) {
   core::Stats delta = after;
-  const uint64_t* before_words = reinterpret_cast<const uint64_t*>(&before);
-  uint64_t* delta_words = reinterpret_cast<uint64_t*>(&delta);
-  for (std::size_t i = 0; i < sizeof(core::Stats) / sizeof(uint64_t); ++i) {
-    delta_words[i] -= before_words[i];
-  }
+  delta -= before;
   return delta;
 }
 

@@ -1,12 +1,15 @@
 // The StackTrack free procedure (Algorithm 1): SCAN_AND_FREE plus the per-thread
 // inspection protocol (IS_IN_STACK / IS_IN_REGISTERS with the splits-counter retry and
-// the oper-counter shortcut).
+// the oper-counter shortcut). Both scan strategies — the per-candidate rescan and the
+// §5.2 hashed scan's root table — read other threads' roots through the one protocol
+// loop in free_proc.cc.
 #ifndef STACKTRACK_CORE_FREE_PROC_H_
 #define STACKTRACK_CORE_FREE_PROC_H_
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "core/thread_context.h"
 #include "runtime/barrier.h"
@@ -75,12 +78,21 @@ bool InspectThread(StContext& reclaimer, StContext& target, uintptr_t base,
                    std::size_t length, bool check_refset);
 
 // The paper's §5.2 optimization: instead of rescanning every thread per candidate,
-// collect all root words once (per-thread, under the same splits/oper consistency
-// protocol) into a sorted table, then answer each candidate with a range probe —
-// average O(1) work per freed pointer. Enabled with StConfig::hashed_scan; ablated by
-// bench/ablation_scan. Forwards to ReclaimEngine::Run(kSnapshot), which may reuse a
-// validated snapshot published by a concurrent reclaimer — see core/reclaim_engine.h.
+// collect every other thread's root words once into a private sorted table, then
+// answer each candidate with a range probe — average O(1) work per freed pointer.
+// Enabled with StConfig::hashed_scan; ablated by bench/ablation_scan. Forwards to
+// ReclaimEngine::Run(kHashed) — see core/reclaim_engine.h.
 void ScanAndFreeHashed(StContext& reclaimer);
+
+// Fills `roots` with the root words of every registered thread except the reclaimer
+// (exposed registers, tracked frames, and reference sets when slow-path segments are
+// running), each thread read under InspectThread's consistency protocol, and sorts
+// it. A thread whose operation completes mid-read contributes nothing: every
+// candidate of the round was retired before the collection began, so that
+// operation's roots cannot reach one. Returns false when the table is incomplete — a
+// thread hit the retry cap or its overflowed reference set cannot be enumerated —
+// and so cannot prove any candidate unreferenced.
+bool CollectRootTable(StContext& reclaimer, std::vector<uintptr_t>& roots);
 
 }  // namespace stacktrack::core
 

@@ -1,13 +1,10 @@
 #include "core/reclaim_engine.h"
 
-#include <sched.h>
-
 #include <algorithm>
+#include <vector>
 
 #include "core/free_proc.h"
 #include "htm/htm.h"
-#include "runtime/backoff.h"
-#include "runtime/fault.h"
 #include "runtime/pool_alloc.h"
 #include "runtime/trace.h"
 
@@ -20,11 +17,6 @@ namespace {
 // Verdict shards: dead candidates are quarantined and released in batches of this
 // size, bounding the stack-side scratch while keeping the two loops tight.
 constexpr std::size_t kVerdictShard = 64;
-
-// How long a reclaimer that lost the collector latch waits for the winner's
-// publication before collecting privately. Bounded: the winner may be stalled inside
-// an injected fault, and a private collection is always available.
-constexpr uint32_t kPublishWaitSpins = 64;
 
 // Stage: ingest. Pulls a batch of previously spilled / handed-off candidates into the
 // reclaimer's free set so they go through the normal verdict stage. Skipped while the
@@ -121,260 +113,7 @@ void VerdictShards(StContext& reclaimer, bool count_hits, LiveProbe&& live) {
   free_set.resize(kept);
 }
 
-// Appends one thread's roots (exposed registers + tracked frame words + reference-set
-// entries when requested) to the snapshot under the splits/oper consistency protocol,
-// and records the generation the words were read at. Retries on ANY movement — there
-// is deliberately no oper-counter shortcut here (see the header note) — and clears
-// snap.complete on retry exhaustion or an overflowed (unenumerable) reference set.
-void CollectOneThread(StContext& reclaimer, const StContext& target, uint32_t tid,
-                      bool check_refset, RootSnapshot& snap) {
-  ++reclaimer.stats.scan_thread_inspects;
-  RootSnapshot::ThreadGen& gen = snap.gens[tid];
-  gen.ctx = &target;
-  const uint32_t retry_cap = reclaimer.config().inspect_retry_cap;
-  runtime::ExponentialBackoff backoff(16, 4096);
-  uint32_t retries = 0;
-  // As in the per-candidate scan, scan_words accumulates locally (across retries) and
-  // is flushed once on exit.
-  uint64_t scanned = 0;
-  while (true) {
-    const std::size_t mark = snap.roots.size();
-    const uint64_t seq_pre = target.splits_seq.load(std::memory_order_acquire);
-    const uint64_t oper_pre = target.oper_counter.load(std::memory_order_acquire);
-    if ((seq_pre & 1) != 0) {
-      ++reclaimer.stats.scan_restarts;
-      if (++retries > retry_cap) {
-        ++reclaimer.stats.scan_retry_capped;
-        snap.complete = false;
-        break;
-      }
-      backoff.Pause();
-      sched_yield();
-      continue;
-    }
-    if (check_refset && target.ref_set.overflowed()) {
-      snap.complete = false;
-      break;
-    }
-    const uint32_t refset_count = check_refset ? target.ref_set.size() : 0;
-    runtime::fault::MaybeStall(runtime::fault::Site::kInspectStall);
-    for (uint32_t i = 0; i < kRegisterSlots; ++i) {
-      const uintptr_t word = target.exposed_regs[i].load(std::memory_order_acquire);
-      ++scanned;
-      if (word != 0) {
-        snap.roots.push_back({word, tid});
-      }
-    }
-    const uint32_t frames = target.frame_count.load(std::memory_order_acquire);
-    for (uint32_t f = 0; f < frames && f < kMaxFrames; ++f) {
-      const uintptr_t lo = target.frames[f].lo.load(std::memory_order_acquire);
-      const uintptr_t hi = target.frames[f].hi.load(std::memory_order_acquire);
-      if (lo == 0 || hi <= lo) {
-        continue;
-      }
-      for (uintptr_t addr = lo; addr + sizeof(uintptr_t) <= hi; addr += sizeof(uintptr_t)) {
-        const uintptr_t word = LoadFrameWord(addr);
-        ++scanned;
-        if (word != 0) {
-          snap.roots.push_back({word, tid});
-        }
-      }
-    }
-    for (uint32_t i = 0; i < refset_count; ++i) {
-      const uintptr_t word = target.ref_set.slot(i);
-      if (word != 0) {
-        snap.roots.push_back({word, tid});
-      }
-    }
-    const uint64_t seq_post = target.splits_seq.load(std::memory_order_acquire);
-    const uint64_t oper_post = target.oper_counter.load(std::memory_order_acquire);
-    if (seq_pre != seq_post || oper_pre != oper_post ||
-        runtime::fault::ShouldFire(runtime::fault::Site::kSplitsBump)) {
-      snap.roots.resize(mark);
-      ++reclaimer.stats.scan_restarts;
-      if (++retries > retry_cap) {
-        ++reclaimer.stats.scan_retry_capped;
-        snap.complete = false;
-        break;
-      }
-      backoff.Pause();
-      continue;
-    }
-    gen.splits_seq = seq_pre;
-    gen.oper = oper_pre;
-    gen.refset_count = refset_count;
-    break;
-  }
-  reclaimer.stats.scan_words += scanned;
-}
-
 }  // namespace
-
-// ---- RootSnapshot ------------------------------------------------------------------
-
-bool RootSnapshot::Blocks(uint32_t reclaimer_tid, uintptr_t base,
-                          std::size_t length) const {
-  auto it = std::lower_bound(
-      roots.begin(), roots.end(), base,
-      [](const TaggedRoot& entry, uintptr_t b) { return entry.word < b; });
-  for (; it != roots.end() && it->word - base < length; ++it) {
-    if (it->tid != reclaimer_tid) {
-      return true;
-    }
-  }
-  return false;
-}
-
-// ---- RootSnapshotService -----------------------------------------------------------
-
-RootSnapshotService& RootSnapshotService::Instance() {
-  static RootSnapshotService service;
-  return service;
-}
-
-bool RootSnapshotService::Validate(const RootSnapshot& snap, const StContext& reclaimer,
-                                   bool needs_refsets) {
-  if (!snap.complete) {
-    return false;
-  }
-  if (needs_refsets && !snap.refsets_included) {
-    return false;
-  }
-  if (ActivityArray::Instance().epoch() != snap.epoch) {
-    return false;
-  }
-  if (runtime::ThreadRegistry::Instance().high_watermark() != snap.watermark) {
-    return false;
-  }
-  for (uint32_t tid = 0; tid < snap.watermark; ++tid) {
-    if (tid == reclaimer.tid()) {
-      // The reclaimer's own generation moves freely: its roots are excluded from
-      // every probe it makes (dead by contract once its operation ended).
-      continue;
-    }
-    const RootSnapshot::ThreadGen& gen = snap.gens[tid];
-    const StContext* ctx = ActivityArray::Instance().Get(tid);
-    if (ctx != gen.ctx) {
-      return false;
-    }
-    if (ctx == nullptr) {
-      continue;
-    }
-    if (ctx->splits_seq.load(std::memory_order_acquire) != gen.splits_seq ||
-        ctx->oper_counter.load(std::memory_order_acquire) != gen.oper) {
-      return false;
-    }
-    if (snap.refsets_included &&
-        (ctx->ref_set.overflowed() || ctx->ref_set.size() != gen.refset_count)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-std::shared_ptr<const RootSnapshot> RootSnapshotService::TryReuse(StContext& reclaimer,
-                                                                  bool needs_refsets) {
-  std::shared_ptr<const RootSnapshot> pub;
-  {
-    runtime::LatchGuard guard(publish_latch_);
-    pub = published_;
-  }
-  if (pub == nullptr || pub->publisher_tid == reclaimer.tid()) {
-    // Nothing published, or this reclaimer published it: own tables are never
-    // reused, so back-to-back scans by one thread always re-observe the roots
-    // (tracked-frame words can change without any generation movement).
-    return nullptr;
-  }
-  if (!Validate(*pub, reclaimer, needs_refsets)) {
-    ++reclaimer.stats.snapshot_stale;
-    trace::Emit(trace::Event::kSnapshotStale, pub->version);
-    return nullptr;
-  }
-  ++reclaimer.stats.snapshot_reuses;
-  trace::Emit(trace::Event::kSnapshotReuse, pub->roots.size());
-  return pub;
-}
-
-std::shared_ptr<RootSnapshot> RootSnapshotService::Collect(StContext& reclaimer,
-                                                           bool refsets) const {
-  auto snap = std::make_shared<RootSnapshot>();
-  snap->refsets_included = refsets;
-  snap->epoch = ActivityArray::Instance().epoch();
-  snap->watermark = runtime::ThreadRegistry::Instance().high_watermark();
-  snap->gens.resize(snap->watermark);
-  snap->roots.reserve(256);
-  for (uint32_t tid = 0; tid < snap->watermark; ++tid) {
-    const StContext* target = ActivityArray::Instance().Get(tid);
-    snap->gens[tid].ctx = target;
-    if (target == nullptr) {
-      continue;
-    }
-    // The collector's own roots are included too (tagged): unlike a private table, a
-    // published one must answer for every other reclaimer.
-    CollectOneThread(reclaimer, *target, tid, refsets, *snap);
-    if (!snap->complete) {
-      break;  // the round cannot free anything; no point finishing the sweep
-    }
-  }
-  std::sort(snap->roots.begin(), snap->roots.end(),
-            [](const TaggedRoot& a, const TaggedRoot& b) { return a.word < b.word; });
-  return snap;
-}
-
-void RootSnapshotService::Publish(const std::shared_ptr<RootSnapshot>& snap) {
-  runtime::LatchGuard guard(publish_latch_);
-  snap->version = version_.load(std::memory_order_relaxed) + 1;
-  published_ = snap;
-  version_.store(snap->version, std::memory_order_release);
-}
-
-std::shared_ptr<const RootSnapshot> RootSnapshotService::Acquire(StContext& reclaimer,
-                                                                 bool allow_reuse) {
-  const bool needs_refsets =
-      reclaimer.config().scan_refsets_always ||
-      GlobalSlowPathCount().load(std::memory_order_acquire) != 0;
-  if (allow_reuse) {
-    if (auto snap = TryReuse(reclaimer, needs_refsets)) {
-      return snap;
-    }
-  }
-  if (collector_latch_.TryLock()) {
-    auto snap = Collect(reclaimer, needs_refsets);
-    if (snap->complete) {
-      snap->publisher_tid = reclaimer.tid();
-      Publish(snap);
-      ++reclaimer.stats.snapshot_publishes;
-      trace::Emit(trace::Event::kSnapshotPublish, snap->roots.size());
-    } else {
-      ++reclaimer.stats.snapshot_incomplete;
-    }
-    collector_latch_.Unlock();
-    return snap;
-  }
-  // Another reclaimer is collecting. Wait (bounded) for its publication and reuse it
-  // rather than doubling the collection work; fall back to a private table if the
-  // collector is slow (possibly parked in an injected stall) or its result fails
-  // validation.
-  if (allow_reuse) {
-    const uint64_t seen = version_.load(std::memory_order_acquire);
-    runtime::ExponentialBackoff backoff(16, 4096);
-    for (uint32_t spin = 0; spin < kPublishWaitSpins; ++spin) {
-      if (version_.load(std::memory_order_acquire) != seen) {
-        if (auto snap = TryReuse(reclaimer, needs_refsets)) {
-          return snap;
-        }
-        break;
-      }
-      backoff.Pause();
-      sched_yield();
-    }
-  }
-  auto snap = Collect(reclaimer, needs_refsets);
-  if (!snap->complete) {
-    ++reclaimer.stats.snapshot_incomplete;
-  }
-  return snap;
-}
 
 // ---- ReclaimEngine -----------------------------------------------------------------
 
@@ -392,14 +131,19 @@ void ReclaimEngine::Run(StContext& reclaimer, ScanMode mode) {
                       return CandidateIsLive(reclaimer, base, length);
                     });
     } else {
-      const std::shared_ptr<const RootSnapshot> snap =
-          RootSnapshotService::Instance().Acquire(reclaimer,
-                                                  mode == ScanMode::kSnapshot);
-      const uint32_t self = reclaimer.tid();
+      std::vector<uintptr_t> roots;
+      roots.reserve(256);
+      const bool complete = CollectRootTable(reclaimer, roots);
+      if (!complete) {
+        ++reclaimer.stats.snapshot_incomplete;
+      }
       VerdictShards(reclaimer, /*count_hits=*/true,
-                    [&snap, self](uintptr_t base, std::size_t length) {
-                      // An incomplete table cannot prove absence; keep everything.
-                      return !snap->complete || snap->Blocks(self, base, length);
+                    [&roots, complete](uintptr_t base, std::size_t length) {
+                      if (!complete) {
+                        return true;  // an incomplete table cannot prove absence
+                      }
+                      const auto it = std::lower_bound(roots.begin(), roots.end(), base);
+                      return it != roots.end() && *it - base < length;
                     });
     }
   }

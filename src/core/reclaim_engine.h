@@ -1,4 +1,4 @@
-// Staged reclamation pipeline and the shared root-snapshot service.
+// Staged reclamation pipeline.
 //
 // Every reclamation entry point (threshold scans from OpEnd/Free, FlushFrees drains,
 // deferred-list adoption, exit handoff) funnels through one engine with fixed stages:
@@ -6,134 +6,29 @@
 //   ingest    adopt a batch of globally deferred candidates into the local free set
 //   verdict   decide live/dead for each candidate, in shards, against one source:
 //               - per-candidate rescan of every thread (Algorithm 1), or
-//               - a root-snapshot table (the paper's §5.2 hashed scan)
+//               - a private root table collected once per round (the paper's §5.2
+//                 hashed scan)
 //   release   batch-quarantine the dead shard, then batch-return it to the pool
 //   relieve   back-pressure: spill survivors past the high-water mark, adapt the
 //             scan trigger
 //   observe   watchdog tick (stalled-thread detection)
 //
-// The snapshot service amortizes root collection across concurrent reclaimers: one
-// reclaimer walks every registered thread's roots under the splits/oper consistency
-// protocol and publishes the sorted table stamped with a generation — the per-thread
-// (splits_seq, oper_counter, refset-size) vector plus the registration epoch. Later
-// reclaimers revalidate that generation and reuse the table instead of re-collecting.
-//
-// Generation rules (why validation looks the way it does):
-//  * splits_seq unchanged (and even) + oper_counter unchanged => the thread committed
-//    no segment and finished no operation since collection, so its *exposed* root set
-//    is exactly what the table holds. This is the paper's consistency protocol.
-//  * The reference set can grow without a splits bump (slow-path loads record as they
-//    go), so when refsets were included the recorded size must match too; Clear()
-//    only follows a commit's seq bump, so an equal size means no entry changed. A
-//    snapshot collected without refsets is stale for any reclaimer that needs them
-//    (GlobalSlowPathCount() went nonzero).
-//  * The registration epoch guards against recycled contexts: a context destroyed and
-//    a new one constructed at the same address would otherwise present matching
-//    (freshly zeroed) counters while holding different roots.
-//  * Tracked-frame words can change with NO observable generation movement (they are
-//    raw stack words; mid-segment acquisitions are protected by quarantine-abort, not
-//    by the scan — an in-contract clear always reaches the next commit or OpEnd,
-//    which moves a counter). Two compensations for out-of-band word changes: a
-//    reclaimer never reuses its OWN publications, so repeated scans by one thread
-//    always re-collect and re-observe roots; and drain paths (FlushFrees, exit
-//    handoff) use kSnapshotFresh, which never reuses at all.
-//  * Roots are tagged with the owning tid and the probe skips the reclaimer's own:
-//    its operation is over, so roots still sitting in its frames are dead by
-//    contract — and unlike a private table, a shared one contains them.
-//
-// An INCOMPLETE snapshot (a thread hit the collection retry cap, or an overflowed
-// reference set could not be enumerated) frees NOTHING: the table is a proof of
-// absence, and a table missing even one thread's roots cannot prove any candidate
-// unreferenced. Incomplete snapshots are never published. Unlike the per-candidate
-// path there is no oper-counter shortcut during collection either: "the operation I
-// was scanning completed" only proves deadness for candidates retired before the
-// collection started, and a shared table also answers for candidates retired after.
+// Both verdict sources read roots through the same consistency protocol
+// (core/free_proc.cc). An INCOMPLETE root table (a thread hit the retry cap, or an
+// overflowed reference set could not be enumerated) frees NOTHING: the table is a
+// proof of absence, and a table missing even one thread's roots cannot prove any
+// candidate unreferenced.
 #ifndef STACKTRACK_CORE_RECLAIM_ENGINE_H_
 #define STACKTRACK_CORE_RECLAIM_ENGINE_H_
 
-#include <atomic>
-#include <cstddef>
-#include <cstdint>
-#include <memory>
-#include <vector>
-
 #include "core/thread_context.h"
-#include "runtime/barrier.h"
 
 namespace stacktrack::core {
 
 // How the verdict stage decides liveness.
 enum class ScanMode {
-  kPerCandidate,   // rescan every thread per candidate (Algorithm 1); no table
-  kSnapshot,       // root table; may reuse a validated published snapshot
-  kSnapshotFresh,  // root table, always re-collected (drain paths; see header note)
-};
-
-// One root word together with the thread that held it. The tag lets a shared table
-// serve any reclaimer: each skips the entries of its own (dead-by-contract) roots.
-struct TaggedRoot {
-  uintptr_t word;
-  uint32_t tid;
-};
-
-// A collected root table plus everything needed to prove it still current.
-struct RootSnapshot {
-  // Per-thread generation recorded at collection time (indexed by tid).
-  struct ThreadGen {
-    const StContext* ctx = nullptr;
-    uint64_t splits_seq = 0;
-    uint64_t oper = 0;
-    uint32_t refset_count = 0;
-  };
-
-  std::vector<TaggedRoot> roots;  // sorted by word
-  std::vector<ThreadGen> gens;    // size == watermark
-  uint64_t version = 0;           // publication stamp; 0 while private
-  uint64_t epoch = 0;             // ActivityArray::epoch() at collection start
-  uint32_t watermark = 0;         // registry high watermark at collection start
-  uint32_t publisher_tid = runtime::kInvalidThreadId;  // set at publication
-  bool refsets_included = false;
-  bool complete = true;
-
-  // Does any thread other than `reclaimer_tid` hold a root into [base, base+length)?
-  bool Blocks(uint32_t reclaimer_tid, uintptr_t base, std::size_t length) const;
-};
-
-// Publishes complete snapshots and hands out validated reuses. One collector runs at
-// a time (TryLock); contenders briefly wait for its publication, then fall back to a
-// private, unpublished collection rather than blocking.
-class RootSnapshotService {
- public:
-  static RootSnapshotService& Instance();
-
-  RootSnapshotService(const RootSnapshotService&) = delete;
-  RootSnapshotService& operator=(const RootSnapshotService&) = delete;
-
-  // Returns the verdict table for one scan round. With `allow_reuse`, first tries to
-  // revalidate the published snapshot (kSnapshot); otherwise — or when validation
-  // fails — collects, publishing the result when it is complete and this reclaimer
-  // won the collector latch. Counters: stats.snapshot_{publishes,reuses,stale,
-  // incomplete}.
-  std::shared_ptr<const RootSnapshot> Acquire(StContext& reclaimer, bool allow_reuse);
-
-  // Stamp of the newest publication (0 = none yet). Test hook.
-  uint64_t published_version() const {
-    return version_.load(std::memory_order_acquire);
-  }
-
- private:
-  RootSnapshotService() = default;
-
-  std::shared_ptr<const RootSnapshot> TryReuse(StContext& reclaimer, bool needs_refsets);
-  std::shared_ptr<RootSnapshot> Collect(StContext& reclaimer, bool refsets) const;
-  static bool Validate(const RootSnapshot& snap, const StContext& reclaimer,
-                       bool needs_refsets);
-  void Publish(const std::shared_ptr<RootSnapshot>& snap);
-
-  runtime::SpinLatch publish_latch_;    // guards published_
-  runtime::SpinLatch collector_latch_;  // at most one collector at a time
-  std::shared_ptr<const RootSnapshot> published_;
-  std::atomic<uint64_t> version_{0};
+  kPerCandidate,  // rescan every thread per candidate (Algorithm 1); no table
+  kHashed,        // one private root table per round, probed per candidate (§5.2)
 };
 
 // The pipeline driver. Stateless: all per-reclaimer state lives on the StContext.
@@ -144,8 +39,8 @@ class ReclaimEngine {
   static void Run(StContext& reclaimer, ScanMode mode);
 
   // Exit handoff: drain the local set and the global deferred list as far as
-  // liveness allows (fresh verdicts only), then hand survivors to the deferred
-  // list. Called from the thread-registry exit hook and ~StContext.
+  // liveness allows, then hand survivors to the deferred list. Called from the
+  // thread-registry exit hook and ~StContext.
   static void DrainOnExit(StContext& ctx);
 };
 

@@ -16,10 +16,10 @@
 //    reclaimer whose shards are empty drains any other ring it can latch
 //    (stats.steals, trace kServiceSteal), so one slow shard never wedges the
 //    pipeline.
-//  * Bounded inspection. Reclaimer rounds run the staged engine in snapshot mode:
-//    InspectThread's splits-counter retries are capped (StConfig::inspect_retry_cap)
-//    and an incomplete snapshot frees nothing, so a victim parked mid-exposure costs
-//    one bounded collection attempt, not a hang. When a round makes no progress
+//  * Bounded inspection. Reclaimer rounds run the staged engine in hashed mode:
+//    the inspection protocol's splits-counter retries are capped
+//    (StConfig::inspect_retry_cap) and an incomplete root table frees nothing, so a
+//    victim parked mid-exposure costs one bounded collection attempt, not a hang. When a round makes no progress
 //    against a watchdog-flagged stall, the surviving batch is re-queued to the
 //    global deferred list and the reclaimer moves on to fresh work.
 //  * Reclaimer failover. Every reclaimer publishes a heartbeat each pass and
@@ -61,8 +61,8 @@ struct ReclaimServiceConfig {
   uint32_t lag_check_interval = 16;  // reclaimer passes between lag samples
   uint64_t failover_timeout_ns = 50'000'000;  // frozen-heartbeat deadline (50 ms)
   // Configuration for the reclaimer threads' own contexts. hashed_scan is forced on:
-  // snapshot mode is what lets consecutive batches amortize one root collection via
-  // the RootSnapshotService generations.
+  // a round decides a whole hand-off batch, so one root collection probed per
+  // candidate beats rescanning every thread per candidate.
   StConfig reclaimer_config;
 };
 

@@ -11,88 +11,104 @@
 
 namespace stacktrack::core {
 
+// Every counter, in declaration and export order: X(name) per counter. The Stats
+// members, operator+= / operator-= and the exporters' name table
+// (core/stats_export.cc) are all generated from this one list.
+#define STACKTRACK_STATS_FIELDS(X)                                                        \
+  /* Operation / segment life cycle. */                                                   \
+  X(ops)                                                                                  \
+  X(segments_committed)         /* fast-path segment commits */                           \
+  X(segments_slow)              /* segments executed on the software slow path */         \
+  X(steps_committed)            /* basic blocks inside committed segments */              \
+  /* Abort taxonomy (counted per failed fast-path attempt). aborts_conflict covers        \
+     every conflict-family cause; the reader/writer splits below refine it when the       \
+     2PL engine attributes the conflicting party (lazy validation cannot, so they         \
+     stay 0 under ST_STM=lazy). */                                                        \
+  X(aborts_conflict)                                                                      \
+  X(aborts_capacity)                                                                      \
+  X(aborts_explicit)                                                                      \
+  X(aborts_other)                                                                         \
+  X(aborts_conflict_reader)     /* writer yielded the orec to an older reader */          \
+  X(aborts_conflict_writer)     /* blocked by / doomed in favor of an older writer */     \
+  /* Software-engine internals, drained from htm::ConsumeStmCounters() at segment         \
+     boundaries. Waits count spins against a held stripe/orec; handoffs count 2PL         \
+     priority-token resolutions (a younger holder doomed in the winner's favor); the      \
+     eager/commit split locates where conflict aborts were raised. */                     \
+  X(stm_orec_waits)                                                                       \
+  X(stm_priority_handoffs)                                                                \
+  X(stm_eager_conflict_aborts)                                                            \
+  X(stm_commit_conflict_aborts)                                                           \
+  /* Split-length predictor activity (both policies; see core/predictor.h). */            \
+  X(predictor_increases)                                                                  \
+  X(predictor_decreases)                                                                  \
+  X(predictor_warm_seeds)       /* cells seeded from the shared warm table */             \
+  X(predictor_warm_publishes)   /* learned cells folded back into the table */            \
+  /* Reclamation. */                                                                      \
+  X(retires)                                                                              \
+  X(frees)                                                                                \
+  X(scan_calls)                 /* scan_and_free invocations */                           \
+  X(scan_thread_inspects)       /* per-thread inspections performed */                    \
+  X(scan_restarts)              /* splits-counter inconsistency retries */                \
+  X(scan_words)                 /* stack/register words compared */                       \
+  X(scan_hits)                  /* candidates kept alive by a found reference */          \
+  X(stale_free_drops)           /* free-set entries already freed elsewhere (guard) */    \
+  /* Slow path. */                                                                        \
+  X(slow_reads)                                                                           \
+  X(slow_read_retries)                                                                    \
+  X(slow_ops)                   /* operations forced entirely onto the slow path */       \
+  /* Robustness: bounded-retry, back-pressure, and fault-recovery actions. Counters       \
+     for the injected faults themselves live in runtime/fault.h (per-site fire            \
+     counts); these record how the reclamation layers recovered. */                       \
+  X(scan_retry_capped)          /* inspections that hit the retry cap -> "live" */        \
+  X(backpressure_raises)        /* adaptive scan-threshold increases */                   \
+  X(backpressure_spills)        /* survivors spilled to the global deferred list */       \
+  X(deferred_adopted)           /* deferred candidates adopted by a later scan */         \
+  X(exit_handoffs)              /* candidates handed off by an exiting thread */          \
+  X(refset_overflows)           /* sticky RefSet overflows (conservative mode) */         \
+  X(watchdog_reports)           /* threads newly flagged as stalled mid-operation */      \
+  X(free_set_peak)              /* per-thread max free_set size (sums as a bound) */      \
+  /* Hashed-scan root tables (core/reclaim_engine.h). Tables are private to one           \
+     round and never shared, so snapshot_reuses is always 0; it stays because the         \
+     repository benchmark reports it as core.snapshot_reuse_ratio. */                     \
+  X(snapshot_reuses)                                                                      \
+  X(snapshot_incomplete)        /* hashed rounds whose table could not prove absence */   \
+  /* Asynchronous reclamation service (core/reclaim_service.h). service_batches and       \
+     steals count on the reclaimer contexts; failovers on whichever reclaimer             \
+     detected the dead peer; inline_fallbacks on the mutator that had to scan for         \
+     itself. */                                                                           \
+  X(service_batches)            /* hand-off ring batches consumed by reclaimers */        \
+  X(steals)                     /* batches drained from another reclaimer's shard */      \
+  X(failovers)                  /* stalled/dead reclaimers failed over to a peer */       \
+  X(inline_fallbacks)           /* mutator frees that fell back to inline scanning */     \
+  /* Hazard-protocol guard activity (smr/guard_table.h consumers). The guard_batch_*      \
+     counters belong to the teleport scheme (HTM-elided hazard capture): batches are      \
+     committed guard transactions, elisions count per-hop publish fences a committed      \
+     batch made unnecessary, fallbacks count fenced slow segments entered after           \
+     aborts. guard_slot_overflows is sticky across every scheme using a GuardTable: a     \
+     nonzero value means some traversal indexed past its slot budget (protocol            \
+     break). */                                                                           \
+  X(guard_batches)              /* teleport guard batches committed */                    \
+  X(guard_elisions)             /* per-hop hazard fences elided by committed batches */   \
+  X(guard_fallbacks)            /* fenced (plain-hazard) segments entered after aborts */ \
+  X(guard_slot_overflows)       /* guard-slot indexes clamped out of range (sticky) */
+
 struct Stats {
-  // Operation / segment life cycle.
-  uint64_t ops = 0;
-  uint64_t segments_committed = 0;   // fast-path segment commits
-  uint64_t segments_slow = 0;        // segments executed on the software slow path
-  uint64_t steps_committed = 0;      // basic blocks inside committed segments
-  // Abort taxonomy (counted per failed fast-path attempt). aborts_conflict covers
-  // every conflict-family cause; the reader/writer splits below refine it when the
-  // 2PL engine attributes the conflicting party (lazy validation cannot, so they
-  // stay 0 under ST_STM=lazy).
-  uint64_t aborts_conflict = 0;
-  uint64_t aborts_capacity = 0;
-  uint64_t aborts_explicit = 0;
-  uint64_t aborts_other = 0;
-  uint64_t aborts_conflict_reader = 0;  // writer yielded the orec to an older reader
-  uint64_t aborts_conflict_writer = 0;  // blocked by / doomed in favor of an older writer
-  // Software-engine internals, drained from htm::ConsumeStmCounters() at segment
-  // boundaries. Waits count spins against a held stripe/orec; handoffs count 2PL
-  // priority-token resolutions (a younger holder doomed in the winner's favor);
-  // the eager/commit split locates where conflict aborts were raised.
-  uint64_t stm_orec_waits = 0;
-  uint64_t stm_priority_handoffs = 0;
-  uint64_t stm_eager_conflict_aborts = 0;
-  uint64_t stm_commit_conflict_aborts = 0;
-  // Split-length predictor activity (both policies; see core/predictor.h).
-  uint64_t predictor_increases = 0;
-  uint64_t predictor_decreases = 0;
-  uint64_t predictor_warm_seeds = 0;      // cells seeded from the shared warm table
-  uint64_t predictor_warm_publishes = 0;  // learned cells folded back into the table
-  // Reclamation.
-  uint64_t retires = 0;
-  uint64_t frees = 0;
-  uint64_t scan_calls = 0;           // scan_and_free invocations
-  uint64_t scan_thread_inspects = 0; // per-thread inspections performed
-  uint64_t scan_restarts = 0;        // splits-counter inconsistency retries
-  uint64_t scan_words = 0;           // stack/register words compared
-  uint64_t scan_hits = 0;            // candidates kept alive by a found reference
-  uint64_t stale_free_drops = 0;     // free-set entries already freed elsewhere (guard)
-  // Slow path.
-  uint64_t slow_reads = 0;
-  uint64_t slow_read_retries = 0;
-  uint64_t slow_ops = 0;             // operations forced entirely onto the slow path
-  // Robustness: bounded-retry, back-pressure, and fault-recovery actions. Counters
-  // for the injected faults themselves live in runtime/fault.h (per-site fire
-  // counts); these record how the reclamation layers recovered.
-  uint64_t scan_retry_capped = 0;    // inspections that hit the retry cap -> "live"
-  uint64_t backpressure_raises = 0;  // adaptive scan-threshold increases
-  uint64_t backpressure_spills = 0;  // survivors spilled to the global deferred list
-  uint64_t deferred_adopted = 0;     // deferred candidates adopted by a later scan
-  uint64_t exit_handoffs = 0;        // candidates handed off by an exiting thread
-  uint64_t refset_overflows = 0;     // sticky RefSet overflows (conservative mode)
-  uint64_t watchdog_reports = 0;     // threads newly flagged as stalled mid-operation
-  uint64_t free_set_peak = 0;        // per-thread max free_set size (sums as a bound)
-  // Root-snapshot service (shared hashed-scan root tables, core/reclaim_engine.h).
-  uint64_t snapshot_publishes = 0;   // complete collections published for reuse
-  uint64_t snapshot_reuses = 0;      // scans answered by a validated published table
-  uint64_t snapshot_stale = 0;       // reuse attempts rejected by the generation check
-  uint64_t snapshot_incomplete = 0;  // collections that could not prove completeness
-  // Asynchronous reclamation service (core/reclaim_service.h). service_batches and
-  // steals count on the reclaimer contexts; failovers on whichever reclaimer detected
-  // the dead peer; inline_fallbacks on the mutator that had to scan for itself.
-  uint64_t service_batches = 0;      // hand-off ring batches consumed by reclaimers
-  uint64_t steals = 0;               // batches drained from another reclaimer's shard
-  uint64_t failovers = 0;            // stalled/dead reclaimers failed over to a peer
-  uint64_t inline_fallbacks = 0;     // mutator frees that fell back to inline scanning
-  // Hazard-protocol guard activity (smr/guard_table.h consumers). The guard_batch_*
-  // counters belong to the teleport scheme (HTM-elided hazard capture): batches are
-  // committed guard transactions, elisions count per-hop publish fences a committed
-  // batch made unnecessary, fallbacks count fenced slow segments entered after
-  // aborts. guard_slot_overflows is sticky across every scheme using a GuardTable: a
-  // nonzero value means some traversal indexed past its slot budget (protocol break).
-  uint64_t guard_batches = 0;        // teleport guard batches committed
-  uint64_t guard_elisions = 0;       // per-hop hazard fences elided by committed batches
-  uint64_t guard_fallbacks = 0;      // fenced (plain-hazard) segments entered after aborts
-  uint64_t guard_slot_overflows = 0; // guard-slot indexes clamped out of range (sticky)
+#define STACKTRACK_STATS_MEMBER(name) uint64_t name = 0;
+  STACKTRACK_STATS_FIELDS(STACKTRACK_STATS_MEMBER)
+#undef STACKTRACK_STATS_MEMBER
 
   Stats& operator+=(const Stats& other) {
-    const uint64_t* src = reinterpret_cast<const uint64_t*>(&other);
-    uint64_t* dst = reinterpret_cast<uint64_t*>(this);
-    for (std::size_t i = 0; i < sizeof(Stats) / sizeof(uint64_t); ++i) {
-      dst[i] += src[i];
-    }
+#define STACKTRACK_STATS_ADD(name) name += other.name;
+    STACKTRACK_STATS_FIELDS(STACKTRACK_STATS_ADD)
+#undef STACKTRACK_STATS_ADD
+    return *this;
+  }
+
+  // Counters only grow, so `after -= before` isolates a measurement window.
+  Stats& operator-=(const Stats& other) {
+#define STACKTRACK_STATS_SUB(name) name -= other.name;
+    STACKTRACK_STATS_FIELDS(STACKTRACK_STATS_SUB)
+#undef STACKTRACK_STATS_SUB
     return *this;
   }
 
@@ -111,7 +127,6 @@ struct Stats {
     return aborts_conflict + aborts_capacity + aborts_explicit + aborts_other;
   }
 };
-static_assert(sizeof(Stats) % sizeof(uint64_t) == 0);
 
 // Tracks all live per-thread Stats blocks. Threads register at context creation and
 // fold their counters into a retired total at destruction, so sums never lose events.

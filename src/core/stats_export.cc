@@ -15,61 +15,12 @@ namespace stacktrack::core {
 namespace {
 
 constexpr StatsField kStatsFields[] = {
-    {"ops", &Stats::ops},
-    {"segments_committed", &Stats::segments_committed},
-    {"segments_slow", &Stats::segments_slow},
-    {"steps_committed", &Stats::steps_committed},
-    {"aborts_conflict", &Stats::aborts_conflict},
-    {"aborts_capacity", &Stats::aborts_capacity},
-    {"aborts_explicit", &Stats::aborts_explicit},
-    {"aborts_other", &Stats::aborts_other},
-    {"aborts_conflict_reader", &Stats::aborts_conflict_reader},
-    {"aborts_conflict_writer", &Stats::aborts_conflict_writer},
-    {"stm_orec_waits", &Stats::stm_orec_waits},
-    {"stm_priority_handoffs", &Stats::stm_priority_handoffs},
-    {"stm_eager_conflict_aborts", &Stats::stm_eager_conflict_aborts},
-    {"stm_commit_conflict_aborts", &Stats::stm_commit_conflict_aborts},
-    {"predictor_increases", &Stats::predictor_increases},
-    {"predictor_decreases", &Stats::predictor_decreases},
-    {"predictor_warm_seeds", &Stats::predictor_warm_seeds},
-    {"predictor_warm_publishes", &Stats::predictor_warm_publishes},
-    {"retires", &Stats::retires},
-    {"frees", &Stats::frees},
-    {"scan_calls", &Stats::scan_calls},
-    {"scan_thread_inspects", &Stats::scan_thread_inspects},
-    {"scan_restarts", &Stats::scan_restarts},
-    {"scan_words", &Stats::scan_words},
-    {"scan_hits", &Stats::scan_hits},
-    {"stale_free_drops", &Stats::stale_free_drops},
-    {"slow_reads", &Stats::slow_reads},
-    {"slow_read_retries", &Stats::slow_read_retries},
-    {"slow_ops", &Stats::slow_ops},
-    {"scan_retry_capped", &Stats::scan_retry_capped},
-    {"backpressure_raises", &Stats::backpressure_raises},
-    {"backpressure_spills", &Stats::backpressure_spills},
-    {"deferred_adopted", &Stats::deferred_adopted},
-    {"exit_handoffs", &Stats::exit_handoffs},
-    {"refset_overflows", &Stats::refset_overflows},
-    {"watchdog_reports", &Stats::watchdog_reports},
-    {"free_set_peak", &Stats::free_set_peak},
-    {"snapshot_publishes", &Stats::snapshot_publishes},
-    {"snapshot_reuses", &Stats::snapshot_reuses},
-    {"snapshot_stale", &Stats::snapshot_stale},
-    {"snapshot_incomplete", &Stats::snapshot_incomplete},
-    {"service_batches", &Stats::service_batches},
-    {"steals", &Stats::steals},
-    {"failovers", &Stats::failovers},
-    {"inline_fallbacks", &Stats::inline_fallbacks},
-    {"guard_batches", &Stats::guard_batches},
-    {"guard_elisions", &Stats::guard_elisions},
-    {"guard_fallbacks", &Stats::guard_fallbacks},
-    {"guard_slot_overflows", &Stats::guard_slot_overflows},
+#define STACKTRACK_STATS_FIELD(name) {#name, &Stats::name},
+    STACKTRACK_STATS_FIELDS(STACKTRACK_STATS_FIELD)
+#undef STACKTRACK_STATS_FIELD
 };
 
 constexpr std::size_t kStatsFieldCount = sizeof(kStatsFields) / sizeof(kStatsFields[0]);
-// Every counter must be listed: a new Stats member fails this until named above.
-static_assert(kStatsFieldCount * sizeof(uint64_t) == sizeof(Stats),
-              "kStatsFields is out of sync with struct Stats");
 
 void AppendU64(std::string& out, uint64_t value) {
   char buf[24];

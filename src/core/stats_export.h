@@ -29,10 +29,9 @@ namespace stacktrack::core {
 
 // ---- Field reflection ----------------------------------------------------------------
 
-// Name/offset table over every Stats counter, in declaration order. The exporters and
-// the JSON round trip are driven by this table; a static_assert in stats_export.cc
-// pins its length to sizeof(Stats) so adding a counter without listing it here fails
-// the build.
+// Name/offset table over every Stats counter, in declaration order, generated from
+// STACKTRACK_STATS_FIELDS (core/stats.h). The exporters and the JSON round trip are
+// driven by this table.
 struct StatsField {
   const char* name;
   uint64_t Stats::*member;

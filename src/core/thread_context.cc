@@ -231,7 +231,7 @@ bool StContext::PrepareSegment() {
   if (op_forced_slow_ || attempt_fails_ >= config_.slow_after_fails) {
     return false;
   }
-  SaveRootSnapshot();
+  SaveReplayRoots();
   // Recorded before the begin point, never between xbegin and xend: when armed,
   // EmitSlow's clock_gettime reads the vvar page, a guaranteed RTM abort (trace.cc's
   // in-transaction guard enforces this for every site). An attempt that goes on to
@@ -262,7 +262,7 @@ void StContext::SegmentAborted(int cause) {
     splits_seq.store(splits_seq.load(std::memory_order_relaxed) + 1,
                      std::memory_order_release);
   }
-  RestoreRootSnapshot();
+  RestoreReplayRoots();
   tx_retire_.clear();
 
   switch (cause) {
@@ -558,18 +558,16 @@ void StContext::MaybeReclaim() {
     ++stats.inline_fallbacks;
   }
   if (free_set_.size() >= scan_threshold_) {
-    ReclaimEngine::Run(*this, config_.hashed_scan ? ScanMode::kSnapshot
+    ReclaimEngine::Run(*this, config_.hashed_scan ? ScanMode::kHashed
                                                   : ScanMode::kPerCandidate);
   }
 }
 
 std::size_t StContext::FlushFrees() {
-  // Drains demand fresh verdicts: the caller may have just cleared raw frame words,
-  // which no generation check can see (see the reclaim-engine header note).
   std::size_t previous = free_set_.size() + 1;
   while (!free_set_.empty() && free_set_.size() < previous) {
     previous = free_set_.size();
-    ReclaimEngine::Run(*this, config_.hashed_scan ? ScanMode::kSnapshotFresh
+    ReclaimEngine::Run(*this, config_.hashed_scan ? ScanMode::kHashed
                                                   : ScanMode::kPerCandidate);
   }
   return free_set_.size();
@@ -599,7 +597,7 @@ void StContext::DeregisterFrame(uintptr_t* base) {
   frames[count - 1].hi.store(0, std::memory_order_release);
 }
 
-void StContext::SaveRootSnapshot() {
+void StContext::SaveReplayRoots() {
   std::memcpy(reg_snapshot_, live_regs_, sizeof(live_regs_));
   const uint32_t count = frame_count.load(std::memory_order_relaxed);
   for (uint32_t i = 0; i < count; ++i) {
@@ -607,7 +605,7 @@ void StContext::SaveRootSnapshot() {
   }
 }
 
-void StContext::RestoreRootSnapshot() {
+void StContext::RestoreReplayRoots() {
   std::memcpy(live_regs_, reg_snapshot_, sizeof(live_regs_));
   const uint32_t count = frame_count.load(std::memory_order_relaxed);
   for (uint32_t i = 0; i < count; ++i) {

@@ -360,8 +360,8 @@ class StContext {
   // (near-constant-time ring enqueue); whatever the service refuses falls back to
   // the inline threshold scan (stats.inline_fallbacks).
   void MaybeReclaim();
-  void SaveRootSnapshot();
-  void RestoreRootSnapshot();
+  void SaveReplayRoots();
+  void RestoreReplayRoots();
   void ExposeRegisters();   // seqlock odd -> copy -> (caller completes) seqlock even
   void SpliceRetires();
 
@@ -401,31 +401,20 @@ class ActivityArray {
  public:
   static ActivityArray& Instance();
 
-  void Set(uint32_t tid, StContext* ctx) {
-    slots_[tid].store(ctx, std::memory_order_release);
-    // Any registration change invalidates published root snapshots: a context
-    // recreated at a recycled address can otherwise present the generation counters
-    // of its predecessor (both freshly zero) while holding entirely different roots.
-    epoch_.fetch_add(1, std::memory_order_acq_rel);
-  }
+  void Set(uint32_t tid, StContext* ctx) { slots_[tid].store(ctx, std::memory_order_release); }
   StContext* Get(uint32_t tid) const { return slots_[tid].load(std::memory_order_acquire); }
-
-  // Bumped on every Set(); snapshot validation (core/reclaim_engine.cc) requires it
-  // unchanged since collection.
-  uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
 
  private:
   ActivityArray() = default;
   std::atomic<StContext*> slots_[runtime::kMaxThreads] = {};
-  std::atomic<uint64_t> epoch_{0};
 };
 
 // Number of threads currently executing slow-path segments; scanners consult reference
 // sets only when nonzero (paper §5.4).
 std::atomic<uint32_t>& GlobalSlowPathCount();
 
-// One word of another thread's tracked frame, read by the conservative root scans
-// (core/free_proc.cc, core/reclaim_engine.cc). The bounds the scanner read may
+// One word of another thread's tracked frame, read by the conservative root scan
+// (SweepRoots in core/free_proc.cc). The bounds the scanner read may
 // already belong to a deregistered frame whose stack bytes now hold a different
 // operation's frame; the splits/oper protocol discards such a scan, and the stack
 // stays mapped while its thread lives, so only the read itself must be allowed.

@@ -56,9 +56,6 @@ enum class Event : uint16_t {
   kScanBegin,            // reclamation round entered; arg = free-set size
   kScanEnd,              // reclamation round left; arg = nodes freed this round
   kFree,                 // memory returned to the pool; arg = batch count
-  kSnapshotPublish,      // root snapshot collected and published; arg = root count
-  kSnapshotReuse,        // published snapshot revalidated and reused; arg = root count
-  kSnapshotStale,        // published snapshot failed validation; arg = generation
   kBackpressureRaise,    // scan threshold doubled; arg = new threshold
   kBackpressureSpill,    // survivors handed to DeferredFreeList; arg = accepted count
   kWatchdogReport,       // thread newly flagged as stalled; arg = its tid
@@ -85,9 +82,6 @@ constexpr const char* EventName(Event e) {
     case Event::kScanBegin: return "scan_begin";
     case Event::kScanEnd: return "scan_end";
     case Event::kFree: return "free";
-    case Event::kSnapshotPublish: return "snapshot_publish";
-    case Event::kSnapshotReuse: return "snapshot_reuse";
-    case Event::kSnapshotStale: return "snapshot_stale";
     case Event::kBackpressureRaise: return "backpressure_raise";
     case Event::kBackpressureSpill: return "backpressure_spill";
     case Event::kWatchdogReport: return "watchdog_report";

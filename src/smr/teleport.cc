@@ -33,7 +33,7 @@ bool TeleportSmr::Handle::PrepareSegment() {
       attempt_fails_ >= domain_->config_.fallback_after) {
     return false;
   }
-  SaveRootSnapshot();
+  SaveReplayRoots();
   // Seed the batch set from the committed capture: every root guarded at segment
   // start stays guarded in BOTH sets until its slot is individually superseded, so
   // neither an abort (active set untouched) nor a mid-batch overwrite can expose a
@@ -53,7 +53,7 @@ void TeleportSmr::Handle::SegmentStarted() {
 
 void TeleportSmr::Handle::SegmentAborted(int cause) {
   in_batch_ = false;
-  RestoreRootSnapshot();
+  RestoreReplayRoots();
   tx_retire_.clear();  // aborted unlinks roll back; their retires must too
   elided_pending_ = 0;
   ++attempt_fails_;
@@ -204,7 +204,7 @@ void TeleportSmr::Handle::DeregisterFrame(uintptr_t* base) {
   }
 }
 
-void TeleportSmr::Handle::SaveRootSnapshot() {
+void TeleportSmr::Handle::SaveReplayRoots() {
   std::memcpy(reg_snapshot_, regs_, sizeof(regs_));
   for (uint32_t i = 0; i < frame_count_; ++i) {
     std::memcpy(frame_snapshot_[i], frame_bases_[i],
@@ -212,7 +212,7 @@ void TeleportSmr::Handle::SaveRootSnapshot() {
   }
 }
 
-void TeleportSmr::Handle::RestoreRootSnapshot() {
+void TeleportSmr::Handle::RestoreReplayRoots() {
   std::memcpy(regs_, reg_snapshot_, sizeof(regs_));
   for (uint32_t i = 0; i < frame_count_; ++i) {
     std::memcpy(frame_bases_[i], frame_snapshot_[i],

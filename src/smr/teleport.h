@@ -204,8 +204,8 @@ struct TeleportSmr {
         used_slots_ = used;
       }
     }
-    void SaveRootSnapshot();
-    void RestoreRootSnapshot();
+    void SaveReplayRoots();
+    void RestoreReplayRoots();
     void FinishBatch();        // fence (soft) + TxCommit + set toggle + bookkeeping
     void SpliceRetires();      // tx_retire_ -> retired_, then threshold scan
     void MaybeScan();

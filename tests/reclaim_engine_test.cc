@@ -1,17 +1,15 @@
-// Tests for the staged reclamation pipeline and the shared root-snapshot service
-// (core/reclaim_engine.h): publication and cross-reclaimer reuse, generation
-// invalidation (splits/oper movement, refset growth), the incomplete-table rule
-// (retry cap via injected phantom splits bumps, odd-seq stalls, refset overflow =>
-// the round frees nothing and nothing is published), self-root exclusion in shared
-// tables, and the fresh-only drain paths.
-//
-// The snapshot service and the deferred list are process-global, so counters that
-// can be perturbed by earlier tests in this binary (snapshot_stale in particular:
-// every context construction bumps the registration epoch and invalidates whatever
-// an earlier test published) are asserted as deltas, never absolutes.
+// Tests for the staged reclamation pipeline's hashed verdict source
+// (core/reclaim_engine.h): the private root table a round collects under the shared
+// inspection protocol. An incomplete table (retry cap via injected phantom splits
+// bumps, odd-seq stalls, refset overflow) frees nothing; another thread's root
+// blocks a free while the reclaimer's own roots do not; and an operation that
+// completes mid-collection drops its roots from the table (the oper-counter
+// shortcut).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <thread>
 
 #include "core/free_proc.h"
 #include "core/reclaim_engine.h"
@@ -53,110 +51,10 @@ struct SlotClaim {
   const uint32_t tid;
 };
 
-// One reclaimer's complete round publishes the root table; a second reclaimer's
-// round revalidates the generation and reuses it — and verdicts from the reused
-// table are real: dead candidates are freed, pinned ones are kept.
-TEST_F(ReclaimEngineTest, PublishedSnapshotIsReusedByOtherReclaimers) {
-  SlotClaim a_slot, b_slot, victim_slot;
-  StContext a(a_slot.tid, HashedConfig());
-  StContext b(b_slot.tid, HashedConfig());
-  StContext victim(victim_slot.tid, HashedConfig());
-  TrackedFrame<2> frame(victim);
-  auto& pool = runtime::PoolAllocator::Instance();
-  void* pinned = pool.Alloc(64);
-  void* dead_a = pool.Alloc(64);
-  void* dead_b = pool.Alloc(64);
-  frame.words[0] = reinterpret_cast<uintptr_t>(pinned);
-
-  a.MutableFreeSet() = {dead_a};
-  ScanAndFreeHashed(a);  // complete round: collects and publishes
-  EXPECT_EQ(a.stats.snapshot_publishes, 1u);
-  EXPECT_FALSE(pool.OwnsLive(dead_a));
-
-  b.MutableFreeSet() = {pinned, dead_b};
-  ScanAndFreeHashed(b);  // same generation: reuses a's table instead of collecting
-  EXPECT_EQ(b.stats.snapshot_reuses, 1u);
-  EXPECT_EQ(b.stats.snapshot_publishes, 0u);
-  EXPECT_TRUE(pool.OwnsLive(pinned)) << "reused table must still block pinned nodes";
-  EXPECT_FALSE(pool.OwnsLive(dead_b)) << "reused table must still free dead nodes";
-
-  frame.words[0] = 0;
-  EXPECT_EQ(b.FlushFrees(), 0u);
-  EXPECT_FALSE(pool.OwnsLive(pinned));
-}
-
-// A reclaimer never consumes its own publication, even though it would validate
-// (nothing moves between back-to-back scans): tracked-frame words can change without
-// any generation movement, so repeated scans by one thread must re-observe the roots.
-TEST_F(ReclaimEngineTest, OwnPublicationIsNeverReused) {
-  SlotClaim a_slot;
-  StContext a(a_slot.tid, HashedConfig());
-  auto& pool = runtime::PoolAllocator::Instance();
-  void* dead_1 = pool.Alloc(64);
-  void* dead_2 = pool.Alloc(64);
-
-  a.MutableFreeSet() = {dead_1};
-  ScanAndFreeHashed(a);
-  a.MutableFreeSet() = {dead_2};
-  ScanAndFreeHashed(a);
-  EXPECT_EQ(a.stats.snapshot_reuses, 0u);
-  EXPECT_EQ(a.stats.snapshot_publishes, 2u);
-  EXPECT_FALSE(pool.OwnsLive(dead_1));
-  EXPECT_FALSE(pool.OwnsLive(dead_2));
-}
-
-// Each generation movement a thread can make — a segment commit (splits_seq), an
-// operation completion (oper_counter), a slow-path read (refset growth) — must
-// invalidate the published table, and the stale table must never approve a free:
-// a node pinned after publication survives the next reclaimer's round.
-TEST_F(ReclaimEngineTest, GenerationMovementInvalidatesSnapshotAndNeverApprovesFree) {
-  StConfig config = HashedConfig();
-  config.scan_refsets_always = true;  // refset sizes join the generation vector
-  SlotClaim a_slot, b_slot, victim_slot;
-  StContext a(a_slot.tid, config);
-  StContext b(b_slot.tid, config);
-  StContext victim(victim_slot.tid, config);
-  TrackedFrame<2> frame(victim);
-  auto& pool = runtime::PoolAllocator::Instance();
-  void* node = pool.Alloc(64);
-
-  // splits_seq moved: the victim "commits a segment" that exposes a new pin between
-  // a's publication and b's scan.
-  a.MutableFreeSet() = {pool.Alloc(64)};
-  ScanAndFreeHashed(a);  // publishes a table that records no pin on `node`
-  frame.words[0] = reinterpret_cast<uintptr_t>(node);
-  victim.splits_seq.fetch_add(2, std::memory_order_release);
-  const uint64_t b_stale_0 = b.stats.snapshot_stale;
-  b.MutableFreeSet() = {node};
-  ScanAndFreeHashed(b);
-  EXPECT_EQ(b.stats.snapshot_stale, b_stale_0 + 1);
-  EXPECT_EQ(b.stats.snapshot_reuses, 0u);
-  EXPECT_TRUE(pool.OwnsLive(node)) << "stale table approved a free";
-
-  // oper_counter moved: same shape; the current publication is b's, validated by a.
-  victim.oper_counter.fetch_add(1, std::memory_order_release);
-  const uint64_t a_stale_0 = a.stats.snapshot_stale;
-  a.MutableFreeSet() = {pool.Alloc(64)};
-  ScanAndFreeHashed(a);
-  EXPECT_EQ(a.stats.snapshot_stale, a_stale_0 + 1);
-
-  // Refset grew without any splits movement: the recorded size no longer matches.
-  victim.ref_set.Add(0x1000);
-  const uint64_t b_stale_1 = b.stats.snapshot_stale;
-  b.MutableFreeSet() = {pool.Alloc(64)};
-  ScanAndFreeHashed(b);
-  EXPECT_EQ(b.stats.snapshot_stale, b_stale_1 + 1);
-  victim.ref_set.Clear();
-
-  frame.words[0] = 0;
-  b.MutableFreeSet() = {node};
-  EXPECT_EQ(b.FlushFrees(), 0u);
-  EXPECT_FALSE(pool.OwnsLive(node));
-}
-
 // Phantom splits bumps (the kSplitsBump injection firing on every consistency check)
-// exhaust the collection retry cap: the table is incomplete, the round must free
-// NOTHING — not even completely unreferenced candidates — and nothing is published.
+// exhaust the collection retry cap: the table is incomplete, and the round must free
+// NOTHING — not even completely unreferenced candidates. (Tables are private to the
+// round, so nothing is published either.)
 TEST_F(ReclaimEngineTest, RetryCappedCollectionFreesNothingAndPublishesNothing) {
   StConfig config = HashedConfig();
   config.inspect_retry_cap = 4;
@@ -166,7 +64,6 @@ TEST_F(ReclaimEngineTest, RetryCappedCollectionFreesNothingAndPublishesNothing) 
   auto& pool = runtime::PoolAllocator::Instance();
   void* dead = pool.Alloc(64);
 
-  const uint64_t version_before = RootSnapshotService::Instance().published_version();
   fault::ArmGate(Site::kSplitsBump);
   a.MutableFreeSet() = {dead};
   ScanAndFreeHashed(a);
@@ -176,8 +73,6 @@ TEST_F(ReclaimEngineTest, RetryCappedCollectionFreesNothingAndPublishesNothing) 
   EXPECT_EQ(a.free_set_size(), 1u);
   EXPECT_GE(a.stats.snapshot_incomplete, 1u);
   EXPECT_GT(a.stats.scan_retry_capped, 0u);
-  EXPECT_EQ(RootSnapshotService::Instance().published_version(), version_before)
-      << "incomplete tables must never be published";
 
   // Fault cleared: the very next round reclaims.
   EXPECT_EQ(a.FlushFrees(), 0u);
@@ -232,32 +127,25 @@ TEST_F(ReclaimEngineTest, RefsetOverflowMakesRoundIncomplete) {
   EXPECT_FALSE(pool.OwnsLive(dead));
 }
 
-// A shared table contains the reclaimer's own roots (a private per-candidate scan
-// skips self entirely); the probe must exclude them, because roots still sitting in
-// the reclaimer's frames after its operation ended are dead by contract.
-TEST_F(ReclaimEngineTest, SharedTableExcludesReclaimersOwnRoots) {
-  SlotClaim a_slot, b_slot;
+// Roots still sitting in the reclaimer's own frames are dead by contract once its
+// operation ended: the table skips the reclaimer, so they do not block its frees.
+TEST_F(ReclaimEngineTest, ReclaimersOwnRootsDoNotBlockItsFrees) {
+  SlotClaim a_slot;
   StContext a(a_slot.tid, HashedConfig());
-  StContext b(b_slot.tid, HashedConfig());
-  TrackedFrame<2> frame(b);  // b's own (dead-by-contract) root
+  TrackedFrame<2> frame(a);
   auto& pool = runtime::PoolAllocator::Instance();
   void* node = pool.Alloc(64);
   frame.words[0] = reinterpret_cast<uintptr_t>(node);
 
-  a.MutableFreeSet() = {pool.Alloc(64)};
-  ScanAndFreeHashed(a);  // publishes a table recording b's pin, tagged with b's tid
-  EXPECT_EQ(a.stats.snapshot_publishes, 1u);
-
-  b.MutableFreeSet() = {node};
-  ScanAndFreeHashed(b);  // reuses the table; the only matching root is b's own
-  EXPECT_EQ(b.stats.snapshot_reuses, 1u);
+  a.MutableFreeSet() = {node};
+  ScanAndFreeHashed(a);
   EXPECT_FALSE(pool.OwnsLive(node))
       << "a reclaimer's own roots must not block its frees";
   frame.words[0] = 0;
 }
 
 // ...but the same root in ANOTHER thread's frame does block the free.
-TEST_F(ReclaimEngineTest, SharedTableKeepsOtherThreadsRoots) {
+TEST_F(ReclaimEngineTest, OtherThreadsRootBlocksFree) {
   SlotClaim a_slot, b_slot;
   StContext a(a_slot.tid, HashedConfig());
   StContext b(b_slot.tid, HashedConfig());
@@ -266,16 +154,49 @@ TEST_F(ReclaimEngineTest, SharedTableKeepsOtherThreadsRoots) {
   void* node = pool.Alloc(64);
   frame.words[0] = reinterpret_cast<uintptr_t>(node);
 
-  a.MutableFreeSet() = {pool.Alloc(64)};
-  ScanAndFreeHashed(a);
   b.MutableFreeSet() = {node};
   ScanAndFreeHashed(b);
-  EXPECT_EQ(b.stats.snapshot_reuses, 1u);
   EXPECT_TRUE(pool.OwnsLive(node));
 
   frame.words[0] = 0;
   EXPECT_EQ(b.FlushFrees(), 0u);
   EXPECT_FALSE(pool.OwnsLive(node));
+}
+
+// The oper-counter shortcut on the hashed path: a reclaimer parked mid-collection
+// (kInspectStall gate, after reading the victim's counters) resumes to find that the
+// victim's operation completed. Every candidate of the round was retired before the
+// collection began, so that operation's roots are dead and must not enter the table:
+// a node pinned only by the finished operation's frame is freed, not re-read and kept.
+TEST_F(ReclaimEngineTest, CompletedOperationDropsItsRootsFromTheTable) {
+  SlotClaim reclaimer_slot, victim_slot;
+  StContext reclaimer(reclaimer_slot.tid, HashedConfig());
+  StContext victim(victim_slot.tid, HashedConfig());
+  TrackedFrame<2> frame(victim);
+  auto& pool = runtime::PoolAllocator::Instance();
+  void* node = pool.Alloc(64);
+  frame.words[0] = reinterpret_cast<uintptr_t>(node);
+  reclaimer.MutableFreeSet() = {node};
+
+  fault::ArmGate(Site::kInspectStall);
+  std::thread round([&reclaimer] {
+    runtime::ThreadScope scope;  // a registered tid, so the gate reports the park
+    ScanAndFreeHashed(reclaimer);
+  });
+  bool parked = false;
+  for (int spin = 0; spin < 200000 && !parked; ++spin) {
+    parked = fault::StalledMask() != 0;
+    std::this_thread::yield();
+  }
+  EXPECT_TRUE(parked) << "the hashed round never reached the inspection window";
+  victim.oper_counter.fetch_add(1, std::memory_order_release);  // operation completes
+  fault::ReleaseGate(Site::kInspectStall);
+  round.join();
+
+  EXPECT_FALSE(pool.OwnsLive(node))
+      << "roots of a completed operation must not block a free";
+  frame.words[0] = 0;
+  EXPECT_EQ(reclaimer.FlushFrees(), 0u);
 }
 
 }  // namespace
