@@ -3,8 +3,8 @@
 // Each figure historically hard-coded its scheme columns. They now take an optional
 // --scheme=NAME|a,b,c|all|help argument resolved against smr/registry.h, where
 // "all" keeps the figure's historical column set (so default output is unchanged)
-// and any registered scheme — teleport included — is runnable by name. ST_SCHEME
-// provides the default selection when no argument is given.
+// and any registered scheme is runnable by name. ST_SCHEME provides the default
+// selection when no argument is given.
 #ifndef STACKTRACK_BENCH_SCHEME_CLI_H_
 #define STACKTRACK_BENCH_SCHEME_CLI_H_
 

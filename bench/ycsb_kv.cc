@@ -232,20 +232,14 @@ void PrintResult(const Options& opt, const char* scheme,
         core::StatsToJson(scheme_stats).c_str());
     return;
   }
-  // awk-friendly flat line (tools/check_slo.sh and tools/check_teleport.sh parse
-  // these). The guard_* counters are domain-side (nonzero only for schemes that
-  // batch guard publication, i.e. teleport).
+  // awk-friendly flat line (tools/check_slo.sh parses these).
   std::printf("YCSB scheme=%s preset=%s threads=%u ms=%u ops=%llu ops_per_sec=%.0f "
-              "retires=%llu frees=%llu final_lag=%llu "
-              "guard_batches=%llu guard_elisions=%llu guard_fallbacks=%llu",
+              "retires=%llu frees=%llu final_lag=%llu",
               scheme, scenario.name.c_str(), scenario.threads, scenario.duration_ms,
               static_cast<unsigned long long>(result.total_ops), result.ops_per_sec,
               static_cast<unsigned long long>(retires),
               static_cast<unsigned long long>(frees),
-              static_cast<unsigned long long>(lag),
-              static_cast<unsigned long long>(scheme_stats.guard_batches),
-              static_cast<unsigned long long>(scheme_stats.guard_elisions),
-              static_cast<unsigned long long>(scheme_stats.guard_fallbacks));
+              static_cast<unsigned long long>(lag));
   for (uint32_t k = 0; k < workload::kOpKinds; ++k) {
     const workload::LatencySummary s = workload::Summarize(result.latency[k]);
     const char* name = workload::OpKindName(static_cast<OpKind>(k));

@@ -80,16 +80,8 @@ namespace stacktrack::core {
   X(steals)                     /* batches drained from another reclaimer's shard */      \
   X(failovers)                  /* stalled/dead reclaimers failed over to a peer */       \
   X(inline_fallbacks)           /* mutator frees that fell back to inline scanning */     \
-  /* Hazard-protocol guard activity (smr/guard_table.h consumers). The guard_batch_*      \
-     counters belong to the teleport scheme (HTM-elided hazard capture): batches are      \
-     committed guard transactions, elisions count per-hop publish fences a committed      \
-     batch made unnecessary, fallbacks count fenced slow segments entered after           \
-     aborts. guard_slot_overflows is sticky across every scheme using a GuardTable: a     \
-     nonzero value means some traversal indexed past its slot budget (protocol            \
-     break). */                                                                           \
-  X(guard_batches)              /* teleport guard batches committed */                    \
-  X(guard_elisions)             /* per-hop hazard fences elided by committed batches */   \
-  X(guard_fallbacks)            /* fenced (plain-hazard) segments entered after aborts */ \
+  /* Hazard pointers (smr/hazard.h): a nonzero value means some traversal indexed past     \
+     its slot budget (protocol break). */                                                 \
   X(guard_slot_overflows)       /* guard-slot indexes clamped out of range (sticky) */
 
 struct Stats {

@@ -285,7 +285,10 @@ class LockFreeSkipList {
         const uint64_t curr_key = h.Load(curr->key);
         h.AnchorHop(curr_key);
         runtime::PreemptPoint();
-        if (curr_key >= key) {
+        // An unlink pass walks past equal keys: a reinsertion of the key can link
+        // itself ahead of the watched tower at an upper level, and stopping there
+        // would report the tower unseen while that level still links it.
+        if (curr_key > key || (curr_key == key && watch == nullptr)) {
           break;
         }
         SMR_CHECKPOINT(h);

@@ -62,10 +62,7 @@ enum class Event : uint16_t {
   kServiceHandoff,       // reclaimer drained a hand-off ring batch; arg = batch count
   kServiceSteal,         // reclaimer drained a ring outside its shards; arg = ring tid
   kServiceFailover,      // stalled/dead reclaimer failed over; arg = reclaimer index
-  kGuardBatchCommit,     // teleport guard batch committed; arg = hazard fences elided
-  kGuardBatchAbort,      // teleport guard batch aborted; arg = htm::AbortCause code
-                         // (same coding as kSegmentAbort)
-  kGuardSlotOverflow,    // hazard-protocol slot index out of range; arg = bad index
+  kGuardSlotOverflow,    // hazard slot index out of range; arg = bad index
   kCount,
 };
 
@@ -88,8 +85,6 @@ constexpr const char* EventName(Event e) {
     case Event::kServiceHandoff: return "service_handoff";
     case Event::kServiceSteal: return "service_steal";
     case Event::kServiceFailover: return "service_failover";
-    case Event::kGuardBatchCommit: return "guard_batch_commit";
-    case Event::kGuardBatchAbort: return "guard_batch_abort";
     case Event::kGuardSlotOverflow: return "guard_slot_overflow";
     case Event::kCount: break;
   }

@@ -7,11 +7,17 @@ namespace stacktrack::smr {
 
 namespace trace = runtime::trace;
 
-GuardSlot HazardSmr::Handle::HazardSlot(uint32_t slot) {
-  return domain_->guards_.slot(tid_, /*set=*/0, slot);
+uint32_t HazardSmr::Handle::OverflowSlot(uint32_t slot) {
+  domain_->slot_overflows_.fetch_add(1, std::memory_order_relaxed);
+  trace::Emit(trace::Event::kGuardSlotOverflow, slot);
+  return 0;
 }
 
-void HazardSmr::Handle::OpEnd() { domain_->guards_.ClearRow(tid_); }
+void HazardSmr::Handle::OpEnd() {
+  for (std::atomic<uintptr_t>& guard : guards_) {
+    guard.store(0, std::memory_order_release);
+  }
+}
 
 void HazardSmr::Handle::Retire(void* ptr, uint64_t) {
   retired_.push_back(ptr);
@@ -23,20 +29,26 @@ void HazardSmr::Handle::Retire(void* ptr, uint64_t) {
 }
 
 HazardSmr::Handle& HazardSmr::Domain::AcquireHandle() {
-  const uint32_t tid = runtime::CurrentThreadId();
-  Handle& handle = handles_[tid];
+  Handle& handle = handles_[runtime::CurrentThreadId()];
   handle.domain_ = this;
-  handle.tid_ = tid;
   return handle;
 }
 
 void HazardSmr::Domain::Scan(std::vector<void*>& retired) {
   total_scans_.fetch_add(1, std::memory_order_relaxed);
   trace::Emit(trace::Event::kScanBegin, retired.size());
-  // Stage 1: snapshot all published hazards.
+  // Stage 1: snapshot every published hazard below the registry's high watermark.
   std::vector<uintptr_t> hazards;
   hazards.reserve(runtime::kMaxThreads * kSlotsPerThread);
-  guards_.Collect(hazards);
+  const uint32_t watermark = runtime::ThreadRegistry::Instance().high_watermark();
+  for (uint32_t tid = 0; tid < watermark; ++tid) {
+    for (const std::atomic<uintptr_t>& guard : handles_[tid].guards_) {
+      const uintptr_t value = guard.load(std::memory_order_acquire);
+      if (value != 0) {
+        hazards.push_back(value);
+      }
+    }
+  }
 
   // Stage 2: free retired nodes no hazard points into.
   auto& pool = runtime::PoolAllocator::Instance();
@@ -69,9 +81,9 @@ void HazardSmr::Domain::Scan(std::vector<void*>& retired) {
 
 HazardSmr::Domain::~Domain() {
   // Operations have completed by contract; any hazard left published is stale.
-  guards_.ClearAllRows();
   auto& pool = runtime::PoolAllocator::Instance();
   for (Handle& handle : handles_) {
+    handle.OpEnd();
     for (void* node : handle.retired_) {
       pool.Free(node);
     }

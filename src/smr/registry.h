@@ -2,7 +2,8 @@
 //
 // Benches route all --scheme= handling through here instead of hand-rolled
 // `want("name") -> RunScheme<T>` ladders, so registering a new scheme is one
-// ST_SMR_SCHEME_TRAITS line plus one entry in detail::AllSchemes — no bench edits.
+// ST_SMR_SCHEME_TRAITS line plus one entry in RegisteredSchemes — no bench edits,
+// and the typed test suites that sweep every scheme pick it up too.
 //
 //   DispatchScheme(name, fn)   — invoke fn.template operator()<Smr>(info) for the
 //                                scheme registered under `name`; false if unknown.
@@ -32,7 +33,6 @@
 #include "smr/hyaline.h"
 #include "smr/leaky.h"
 #include "smr/stacktrack_smr.h"
-#include "smr/teleport.h"
 
 namespace stacktrack::smr {
 
@@ -63,20 +63,22 @@ ST_SMR_SCHEME_TRAITS(StackTrackSmr, "stacktrack", "StackTrack",
                      "transactional stack tracking (the paper's scheme)");
 ST_SMR_SCHEME_TRAITS(HyalineSmr, "hyaline", "Hyaline",
                      "era-based distributed reference counting, no scans");
-ST_SMR_SCHEME_TRAITS(TeleportSmr, "teleport", "Teleport",
-                     "hazard pointers with HTM-elided guard batches "
-                     "(Cohen-Herlihy teleportation)");
 
 #undef ST_SMR_SCHEME_TRAITS
 
-namespace detail {
-
 template <typename... Schemes>
-struct SchemeList {};
+struct SchemeList {
+  // The same schemes as another variadic template's arguments, e.g.
+  // RegisteredSchemes::Apply<::testing::Types> for a typed test suite.
+  template <template <typename...> class To>
+  using Apply = To<Schemes...>;
+};
 
 // Registration order == report/column order everywhere "all" is expanded.
-using AllSchemes = SchemeList<LeakySmr, EpochSmr, HazardSmr, DtaSmr, StackTrackSmr,
-                              HyalineSmr, TeleportSmr>;
+using RegisteredSchemes =
+    SchemeList<LeakySmr, EpochSmr, HazardSmr, DtaSmr, StackTrackSmr, HyalineSmr>;
+
+namespace detail {
 
 template <typename Fn, typename... Schemes>
 bool DispatchSchemeImpl(std::string_view name, Fn&& fn, SchemeList<Schemes...>) {
@@ -103,12 +105,12 @@ void ForEachSchemeInfoImpl(Fn&& fn, SchemeList<Schemes...>) {
 //   DispatchScheme(name, [&]<typename Smr>(const SchemeInfo& info) { ... });
 template <typename Fn>
 bool DispatchScheme(std::string_view name, Fn&& fn) {
-  return detail::DispatchSchemeImpl(name, fn, detail::AllSchemes{});
+  return detail::DispatchSchemeImpl(name, fn, RegisteredSchemes{});
 }
 
 template <typename Fn>
 void ForEachSchemeInfo(Fn&& fn) {
-  detail::ForEachSchemeInfoImpl(fn, detail::AllSchemes{});
+  detail::ForEachSchemeInfoImpl(fn, RegisteredSchemes{});
 }
 
 inline std::vector<std::string> AllSchemeNames() {

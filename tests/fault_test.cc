@@ -1,7 +1,8 @@
 // Tests for the fault-injection subsystem and the robustness machinery it drives:
 // deterministic schedules, forced transaction aborts, bounded inspection retries with
 // conservative answers, free-set back-pressure and the global deferred list, the
-// stalled-thread watchdog, and the thread-exit reclamation handoff.
+// stalled-thread watchdog, the thread-exit reclamation handoff, and the interleavings
+// a deterministic stall pins down.
 #include <gtest/gtest.h>
 
 #include <sched.h>
@@ -14,9 +15,11 @@
 #include "core/free_proc.h"
 #include "core/split_engine.h"
 #include "ds/list.h"
+#include "ds/skiplist.h"
 #include "runtime/fault.h"
 #include "runtime/pool_alloc.h"
 #include "runtime/preempt.h"
+#include "smr/leaky.h"
 #include "smr/stacktrack_smr.h"
 
 namespace stacktrack {
@@ -372,6 +375,66 @@ TEST_F(FaultTest, ThreadDeathRequestIsVisibleAtPreemptPoints) {
   fault::Disarm(Site::kThreadDeath);
   fault::ClearDeathRequests();
   EXPECT_FALSE(fault::DeathRequested());
+}
+
+// The skip list's removal winner retires its tower once an unlink pass no longer sees
+// it. A reinsertion of the same key that read the tower unmarked can snip it at
+// level 0 and link itself *ahead* of it at level 1; a pass that stops at the first
+// key >= the search key then stops at the reinsertion and retires a tower that level
+// 1 still links. The remover sleeps on the first hop of its first unlink pass while
+// the test performs that reinsertion by hand.
+TEST_F(FaultTest, SkipListUnlinkPassWalksPastReinsertedKey) {
+  using SkipList = ds::LockFreeSkipList<smr::LeakySmr>;
+  using SkipNode = SkipList::Node;
+  SkipList list;
+  SkipNode* a = SkipList::NewNode(5, 50, 2);
+  SkipNode* x = SkipList::NewNode(7, 70, 2);
+  for (uint32_t l = 0; l < 2; ++l) {  // head -> a(5) -> x(7) at levels 0-1
+    a->next[l].store(x);
+    list.head()->next[l].store(a);
+  }
+
+  smr::LeakySmr::Domain domain;
+  std::atomic<uint32_t> remover_tid{fault::kAnyThread};
+  std::atomic<bool> go{false};
+  std::atomic<bool> removed{false};
+  std::thread remover([&] {
+    runtime::ThreadScope scope;
+    auto& h = domain.AcquireHandle();
+    remover_tid.store(scope.tid());
+    while (!go.load()) {
+      sched_yield();
+    }
+    removed.store(list.Remove(h, 7));
+  });
+  while (remover_tid.load() == fault::kAnyThread) {
+    sched_yield();
+  }
+  // Visits 1-3 are the search's hops (a and x at level 1, x at level 0); visit 4 is
+  // the unlink pass's first hop, after the remover has marked x at both levels.
+  fault::ArmNthVisit(Site::kThreadStall, /*first=*/4, /*period=*/0,
+                     /*payload=*/200000, remover_tid.load());
+  go.store(true);
+  while (fault::Fires(Site::kThreadStall) == 0) {
+    sched_yield();
+  }
+  SkipNode* y = SkipList::NewNode(7, 71, 2);  // the reinsertion, during the sleep
+  y->next[1].store(x);
+  a->next[1].store(y);  // level 1: a -> y -> x
+  a->next[0].store(y);  // level 0: x snipped, a -> y
+  const bool linked_during_stall = !removed.load();
+  remover.join();
+
+  ASSERT_TRUE(linked_during_stall) << "the 200 ms stall ended before the reinsertion";
+  EXPECT_TRUE(removed.load());
+  for (uint32_t l = 0; l < 2; ++l) {
+    for (SkipNode* n = list.head(); n != nullptr;
+         n = ds::detail::Unmarked(n->next[l].load())) {
+      EXPECT_NE(ds::detail::Unmarked(n->next[l].load()), x)
+          << "retired tower still linked at level " << l;
+    }
+  }
+  runtime::PoolAllocator::Instance().Free(x);  // leaked by the scheme, unreachable
 }
 
 // Acceptance scenario from the issue: a 4-thread list workload in which one thread is

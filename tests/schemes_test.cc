@@ -6,12 +6,7 @@
 #include <thread>
 #include <vector>
 
-#include "smr/dta.h"
-#include "smr/epoch.h"
-#include "smr/hazard.h"
-#include "smr/leaky.h"
-#include "smr/stacktrack_smr.h"
-#include "smr/teleport.h"
+#include "smr/registry.h"
 #include "runtime/pool_alloc.h"
 
 namespace stacktrack::smr {
@@ -176,6 +171,31 @@ TEST(HazardTest, CrossThreadHazardIsVisibleToScans) {
   holder.join();
 }
 
+#ifdef NDEBUG
+// Release builds must survive a slot-budget break loudly: the index clamps to slot
+// 0 (never past the row, and still a published hazard) and the sticky counter
+// records it. Debug builds assert instead, so the case is release-only.
+TEST(HazardTest, SlotOverflowFailsLoudly) {
+  runtime::ThreadScope scope;
+  HazardSmr::Domain domain(/*scan_threshold=*/1);
+  auto& h = domain.AcquireHandle();
+  auto& pool = runtime::PoolAllocator::Instance();
+
+  void* node = pool.Alloc(32);
+  std::atomic<void*> link{node};
+  h.OpBegin(0);
+  (void)h.Protect(link, HazardSmr::kSlotsPerThread + 3);  // out of budget
+  h.Retire(node);
+  EXPECT_TRUE(pool.OwnsLive(node)) << "the clamped hazard no longer pins the node";
+  h.OpEnd();
+  EXPECT_GE(domain.Snapshot().guard_slot_overflows, 1u);
+
+  void* other = pool.Alloc(32);
+  h.Retire(other);  // re-scan with the hazard row cleared frees both
+  EXPECT_FALSE(pool.OwnsLive(node));
+}
+#endif  // NDEBUG
+
 TEST(DtaTest, NodesRetiredBeforeOpStartAreFreed) {
   runtime::ThreadScope scope;
   DtaSmr::Domain domain(/*anchor_interval=*/4, /*batch_size=*/1);
@@ -278,8 +298,7 @@ TEST(DtaTest, StalledOperationQuarantinesInsteadOfBlocking) {
 template <typename Scheme>
 class UnifiedSurfaceTest : public ::testing::Test {};
 
-using AllSchemes =
-    ::testing::Types<LeakySmr, EpochSmr, HazardSmr, DtaSmr, StackTrackSmr, TeleportSmr>;
+using AllSchemes = RegisteredSchemes::Apply<::testing::Types>;
 TYPED_TEST_SUITE(UnifiedSurfaceTest, AllSchemes);
 
 TYPED_TEST(UnifiedSurfaceTest, DomainSurfaceAndOpScope) {

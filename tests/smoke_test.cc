@@ -6,11 +6,7 @@
 #include "ds/list.h"
 #include "ds/queue.h"
 #include "ds/skiplist.h"
-#include "smr/dta.h"
-#include "smr/epoch.h"
-#include "smr/hazard.h"
-#include "smr/leaky.h"
-#include "smr/stacktrack_smr.h"
+#include "smr/registry.h"
 
 namespace stacktrack {
 namespace {
@@ -18,8 +14,7 @@ namespace {
 template <typename Smr>
 class SmokeTest : public ::testing::Test {};
 
-using AllSchemes = ::testing::Types<smr::LeakySmr, smr::EpochSmr, smr::HazardSmr, smr::DtaSmr,
-                                    smr::StackTrackSmr>;
+using AllSchemes = smr::RegisteredSchemes::Apply<::testing::Types>;
 TYPED_TEST_SUITE(SmokeTest, AllSchemes);
 
 TYPED_TEST(SmokeTest, ListBasicOps) {

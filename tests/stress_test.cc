@@ -14,12 +14,7 @@
 #include "ds/skiplist.h"
 #include "runtime/barrier.h"
 #include "runtime/rand.h"
-#include "smr/dta.h"
-#include "smr/epoch.h"
-#include "smr/hazard.h"
-#include "smr/leaky.h"
-#include "smr/stacktrack_smr.h"
-#include "smr/teleport.h"
+#include "smr/registry.h"
 
 namespace stacktrack {
 namespace {
@@ -88,8 +83,7 @@ void MapStress(Map& map) {
 template <typename Smr>
 class StressTest : public ::testing::Test {};
 
-using AllSchemes = ::testing::Types<smr::LeakySmr, smr::EpochSmr, smr::HazardSmr, smr::DtaSmr,
-                                    smr::StackTrackSmr, smr::TeleportSmr>;
+using AllSchemes = smr::RegisteredSchemes::Apply<::testing::Types>;
 TYPED_TEST_SUITE(StressTest, AllSchemes);
 
 TYPED_TEST(StressTest, List) {
