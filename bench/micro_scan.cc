@@ -39,7 +39,6 @@ constexpr uint32_t kFramesPerVictim = core::kMaxFrames;
 
 core::StConfig BenchConfig() {
   core::StConfig config;
-  config.hashed_scan = true;
   config.max_free = 64;  // above the working-set size: no back-pressure interference
   return config;
 }

@@ -272,15 +272,13 @@ void PrintReport(const Options& opt, const char* scheme, const LagReport& r) {
 }
 
 void RunStackTrack(const Options& opt, bool with_service) {
-  core::StConfig cfg;
-  cfg.hashed_scan = true;
   core::ReclaimService service;  // constructed either way; started conditionally
   if (with_service) {
     service.Start();
   }
   LagReport report;
   {
-    smr::StackTrackSmr::Domain domain(cfg);
+    smr::StackTrackSmr::Domain domain;
     report = RunScenario<smr::StackTrackSmr>(opt, domain, /*mid_op_death=*/true);
     if (with_service) {
       service.Stop();  // drains rings before the domain (and its contexts) go away
@@ -298,12 +296,10 @@ void RunStackTrack(const Options& opt, bool with_service) {
 // at an operation boundary (see the header comment), everyone else's mid-op.
 void RunRegistryScheme(const Options& opt, const std::string& name) {
   smr::DispatchScheme(name, [&]<typename Smr>(const smr::SchemeInfo& info) {
-    smr::WithBenchDomain<Smr>([&](typename Smr::Domain& domain) {
-      const LagReport report = RunScenario<Smr>(
-          opt, domain,
-          /*victim_dies_mid_op=*/!std::is_same_v<Smr, smr::HyalineSmr>);
-      PrintReport(opt, info.name, report);
-    });
+    typename Smr::Domain domain;
+    const LagReport report = RunScenario<Smr>(
+        opt, domain, /*victim_dies_mid_op=*/!std::is_same_v<Smr, smr::HyalineSmr>);
+    PrintReport(opt, info.name, report);
   });
 }
 
@@ -325,8 +321,6 @@ void RunFreePath(const Options& opt) {
   constexpr uint32_t kFrees = 200000;
   const uint32_t n = opt.smoke ? kFrees / 10 : kFrees;
   auto measure = [&](bool with_service) -> FreePathSample {
-    core::StConfig cfg;
-    cfg.hashed_scan = true;
     // Size the hand-off ring for the burst (its purpose): with the ring absorbing
     // every free, the mutator path is a pure enqueue and the scans all happen on
     // the reclaimer. A production deployment sizes rings for its burst rate the
@@ -342,7 +336,7 @@ void RunFreePath(const Options& opt) {
     }
     FreePathSample sample;
     {
-      smr::StackTrackSmr::Domain domain(cfg);
+      smr::StackTrackSmr::Domain domain;
       runtime::ThreadScope scope;
       auto& handle = domain.AcquireHandle();
       (void)handle;

@@ -300,18 +300,17 @@ void RunPreset(const Options& opt, const std::vector<std::string>& schemes,
 
   for (const std::string& name : schemes) {
     smr::DispatchScheme(name, [&]<typename Smr>(const smr::SchemeInfo& info) {
-      smr::WithBenchDomain<Smr>([&](typename Smr::Domain& domain) {
-        // Scheme-level reclamation counters come from the domain (the global
-        // StatsRegistry only counts StackTrack contexts; baselines keep their
-        // retire/free totals domain-side — smr.h's uniform Snapshot contract).
-        const core::Stats before = domain.Snapshot();
-        const workload::RunResult result = RunKv<Smr>(domain, opt, scenario);
-        PrintResult(opt, info.name, scenario, result,
-                    workload::StatsDelta(before, domain.Snapshot()));
-        // Sidecars dump before contexts retire; the trace buffer is cumulative, so
-        // a multi-scheme --trace-out ends holding the whole run's merged trace.
-        MaybeDumpSidecars(opt, std::is_same_v<Smr, smr::StackTrackSmr>);
-      });
+      typename Smr::Domain domain;
+      // Scheme-level reclamation counters come from the domain (the global
+      // StatsRegistry only counts StackTrack contexts; baselines keep their
+      // retire/free totals domain-side — smr.h's uniform Snapshot contract).
+      const core::Stats before = domain.Snapshot();
+      const workload::RunResult result = RunKv<Smr>(domain, opt, scenario);
+      PrintResult(opt, info.name, scenario, result,
+                  workload::StatsDelta(before, domain.Snapshot()));
+      // Sidecars dump before contexts retire; the trace buffer is cumulative, so
+      // a multi-scheme --trace-out ends holding the whole run's merged trace.
+      MaybeDumpSidecars(opt, std::is_same_v<Smr, smr::StackTrackSmr>);
     });
   }
 }

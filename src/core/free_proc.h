@@ -1,8 +1,9 @@
 // The StackTrack free procedure (Algorithm 1): SCAN_AND_FREE plus the per-thread
 // inspection protocol (IS_IN_STACK / IS_IN_REGISTERS with the splits-counter retry and
-// the oper-counter shortcut). Both scan strategies — the per-candidate rescan and the
-// §5.2 hashed scan's root table — read other threads' roots through the one protocol
-// loop in free_proc.cc.
+// the oper-counter shortcut). Both scan strategies — the §5.2 root table (the default
+// round: one sweep of each other thread per round) and Algorithm 1's per-candidate
+// rescan (StConfig::hashed_scan = false) — read other threads' roots through the one
+// protocol loop in free_proc.cc.
 #ifndef STACKTRACK_CORE_FREE_PROC_H_
 #define STACKTRACK_CORE_FREE_PROC_H_
 
@@ -18,10 +19,10 @@ namespace stacktrack::core {
 
 // Bounded global spillway for free-set candidates that cannot be reclaimed promptly:
 // back-pressured survivors (a stalled thread keeps answering "live") and the
-// unreclaimed buffers of exiting threads. Any thread's later ScanAndFree adopts a
-// batch and retries them under the normal liveness scan, so candidates stranded
-// behind a stall or a dead thread are reclaimed as soon as the stall clears — and the
-// hard capacity keeps total deferred memory bounded even if it never does.
+// unreclaimed buffers of exiting threads. Any thread's later round adopts a batch
+// into the room its release made and decides it in its next round, so candidates
+// stranded behind a stall or a dead thread are reclaimed as soon as the stall clears
+// — and the hard capacity keeps total deferred memory bounded even if it never does.
 class DeferredFreeList {
  public:
   static constexpr std::size_t kCapacity = 4096;
@@ -60,7 +61,8 @@ uint64_t StalledThreadMask();
 // watchdog latch is skipped (rounds are global, not per thread).
 void WatchdogTick(StContext& reclaimer);
 
-// Scans every registered thread's roots for references into the reclaimer's free set
+// Algorithm 1's round (what threshold rounds run with StConfig::hashed_scan false):
+// scans every registered thread's roots once per candidate in the reclaimer's free set
 // and returns the memory of unreferenced candidates to the pool (after quarantining the
 // range so in-flight transactional readers abort). Survivors stay buffered for the
 // next call. Runs non-transactionally; multiple reclaimers may scan concurrently.
@@ -77,11 +79,11 @@ bool CandidateIsLive(StContext& reclaimer, uintptr_t base, std::size_t length);
 bool InspectThread(StContext& reclaimer, StContext& target, uintptr_t base,
                    std::size_t length, bool check_refset);
 
-// The paper's §5.2 optimization: instead of rescanning every thread per candidate,
-// collect every other thread's root words once into a private sorted table, then
-// answer each candidate with a range probe — average O(1) work per freed pointer.
-// Enabled with StConfig::hashed_scan; ablated by bench/ablation_scan. Forwards to
-// ReclaimEngine::Run(kHashed) — see core/reclaim_engine.h.
+// The paper's §5.2 optimization, StackTrack's default round (StConfig::hashed_scan):
+// instead of rescanning every thread per candidate, collect every other thread's root
+// words once into a private sorted table, then answer each candidate with a range
+// probe — average O(1) work per freed pointer. Compared with ScanAndFree by
+// bench/ablation_scan and bench/micro_scan. Forwards to ReclaimEngine::Run(kHashed).
 void ScanAndFreeHashed(StContext& reclaimer);
 
 // Fills `roots` with the root words of every registered thread except the reclaimer

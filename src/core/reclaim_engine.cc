@@ -18,19 +18,21 @@ namespace {
 // size, bounding the stack-side scratch while keeping the two loops tight.
 constexpr std::size_t kVerdictShard = 64;
 
-// Stage: ingest. Pulls a batch of previously spilled / handed-off candidates into the
-// reclaimer's free set so they go through the normal verdict stage. Skipped while the
-// local set is already at or above the scan trigger — adopting then would only deepen
-// the backlog the spill was relieving.
-void AdoptDeferred(StContext& reclaimer) {
+// Stage: ingest. Pulls previously spilled / handed-off candidates into the room this
+// round's release made: at most as many as it freed, and never past max_free. A round
+// that frees nothing adopts nothing, and adoption never lifts the set toward the
+// back-pressure high-water mark, so spilled survivors cannot ping-pong. The adopted
+// candidates wait for the next round's verdict: this round's root table was
+// collected before they were handed over, so it cannot decide them.
+void AdoptDeferred(StContext& reclaimer, uint64_t freed) {
   std::vector<void*>& free_set = reclaimer.MutableFreeSet();
   const uint32_t max_free = reclaimer.config().max_free;
-  if (free_set.size() >= max_free) {
+  if (freed == 0 || free_set.size() >= max_free) {
     return;
   }
   void* batch[64];
-  const std::size_t want =
-      std::min<std::size_t>(64, max_free - static_cast<uint32_t>(free_set.size()));
+  const std::size_t want = std::min<std::size_t>(
+      {64, freed, max_free - static_cast<uint32_t>(free_set.size())});
   const std::size_t n = DeferredFreeList::Instance().PopBatch(batch, want);
   if (n == 0) {
     return;
@@ -119,7 +121,6 @@ void VerdictShards(StContext& reclaimer, bool count_hits, LiveProbe&& live) {
 
 void ReclaimEngine::Run(StContext& reclaimer, ScanMode mode) {
   ++reclaimer.stats.scan_calls;
-  AdoptDeferred(reclaimer);
   trace::Emit(trace::Event::kScanBegin, reclaimer.MutableFreeSet().size());
   const uint64_t frees_before = reclaimer.stats.frees;
   if (!reclaimer.MutableFreeSet().empty()) {
@@ -147,9 +148,11 @@ void ReclaimEngine::Run(StContext& reclaimer, ScanMode mode) {
                     });
     }
   }
+  const uint64_t freed = reclaimer.stats.frees - frees_before;
+  AdoptDeferred(reclaimer, freed);
   ApplyBackPressure(reclaimer);
   WatchdogTick(reclaimer);
-  trace::Emit(trace::Event::kScanEnd, reclaimer.stats.frees - frees_before);
+  trace::Emit(trace::Event::kScanEnd, freed);
 }
 
 void ReclaimEngine::DrainOnExit(StContext& ctx) {

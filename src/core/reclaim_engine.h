@@ -3,12 +3,13 @@
 // Every reclamation entry point (threshold scans from OpEnd/Free, FlushFrees drains,
 // deferred-list adoption, exit handoff) funnels through one engine with fixed stages:
 //
-//   ingest    adopt a batch of globally deferred candidates into the local free set
 //   verdict   decide live/dead for each candidate, in shards, against one source:
-//               - per-candidate rescan of every thread (Algorithm 1), or
 //               - a private root table collected once per round (the paper's §5.2
-//                 hashed scan)
+//                 hashed scan; the default, StConfig::hashed_scan), or
+//               - per-candidate rescan of every thread (Algorithm 1)
 //   release   batch-quarantine the dead shard, then batch-return it to the pool
+//   ingest    adopt globally deferred candidates into the room the release made
+//             (never past max_free); the next round decides them
 //   relieve   back-pressure: spill survivors past the high-water mark, adapt the
 //             scan trigger
 //   observe   watchdog tick (stalled-thread detection)
@@ -37,6 +38,13 @@ class ReclaimEngine {
   // One reclamation round over the reclaimer's free set (see stage list above).
   // Owner-thread only; distinct reclaimers may run concurrently.
   static void Run(StContext& reclaimer, ScanMode mode);
+
+  // One round in the mode the reclaimer's StConfig::hashed_scan selects: what every
+  // threshold round, FlushFrees drain, exit handoff and service round runs.
+  static void Run(StContext& reclaimer) {
+    Run(reclaimer, reclaimer.config().hashed_scan ? ScanMode::kHashed
+                                                  : ScanMode::kPerCandidate);
+  }
 
   // Exit handoff: drain the local set and the global deferred list as far as
   // liveness allows, then hand survivors to the deferred list. Called from the

@@ -42,9 +42,6 @@ ReclaimService::ReclaimService(const ReclaimServiceConfig& config) : config_(con
   if (config_.lag_check_interval == 0) {
     config_.lag_check_interval = 1;
   }
-  // A round decides a whole hand-off batch: collect the roots once and probe them per
-  // candidate instead of rescanning every thread per candidate.
-  config_.reclaimer_config.hashed_scan = true;
   ring_mask_ = config_.ring_capacity - 1;
   rings_ = std::make_unique<Ring[]>(runtime::kMaxThreads);
   for (uint32_t tid = 0; tid < runtime::kMaxThreads; ++tid) {
@@ -204,7 +201,7 @@ std::size_t ReclaimService::DrainShards(uint32_t index, StContext& ctx) {
 
 void ReclaimService::RunRound(StContext& ctx) {
   const uint64_t frees_before = ctx.stats.frees;
-  ReclaimEngine::Run(ctx, ScanMode::kHashed);
+  ReclaimEngine::Run(ctx);
   if (ctx.stats.frees == frees_before && !ctx.MutableFreeSet().empty() &&
       StalledThreadMask() != 0) {
     // The round proved nothing dead and the watchdog blames a stalled thread:

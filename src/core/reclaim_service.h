@@ -16,12 +16,14 @@
 //    reclaimer whose shards are empty drains any other ring it can latch
 //    (stats.steals, trace kServiceSteal), so one slow shard never wedges the
 //    pipeline.
-//  * Bounded inspection. Reclaimer rounds run the staged engine in hashed mode:
+//  * Bounded inspection. Reclaimer rounds run the staged engine in the mode their
+//    StConfig selects, like every other round (by default the §5.2 root table):
 //    the inspection protocol's splits-counter retries are capped
-//    (StConfig::inspect_retry_cap) and an incomplete root table frees nothing, so a
-//    victim parked mid-exposure costs one bounded collection attempt, not a hang. When a round makes no progress
-//    against a watchdog-flagged stall, the surviving batch is re-queued to the
-//    global deferred list and the reclaimer moves on to fresh work.
+//    (StConfig::inspect_retry_cap) and an incomplete root table frees nothing, so
+//    a victim parked mid-exposure costs one bounded collection attempt, not a hang.
+//    When a round makes no progress against a watchdog-flagged stall, the surviving
+//    batch is re-queued to the global deferred list and the reclaimer moves on to
+//    fresh work.
 //  * Reclaimer failover. Every reclaimer publishes a heartbeat each pass and
 //    monitors its peers; a peer whose heartbeat is frozen past the deadline is
 //    marked failed (stats.failovers, trace kServiceFailover) and its shards are
@@ -60,10 +62,7 @@ struct ReclaimServiceConfig {
                                    // back-pressure; cleared at half this value
   uint32_t lag_check_interval = 16;  // reclaimer passes between lag samples
   uint64_t failover_timeout_ns = 50'000'000;  // frozen-heartbeat deadline (50 ms)
-  // Configuration for the reclaimer threads' own contexts. hashed_scan is forced on:
-  // a round decides a whole hand-off batch, so one root collection probed per
-  // candidate beats rescanning every thread per candidate.
-  StConfig reclaimer_config;
+  StConfig reclaimer_config;  // the reclaimer threads' own contexts
 };
 
 // At most one service is active (installed) at a time, mirroring the one-StackTrack-

@@ -558,17 +558,20 @@ void StContext::MaybeReclaim() {
     ++stats.inline_fallbacks;
   }
   if (free_set_.size() >= scan_threshold_) {
-    ReclaimEngine::Run(*this, config_.hashed_scan ? ScanMode::kHashed
-                                                  : ScanMode::kPerCandidate);
+    ReclaimEngine::Run(*this);
   }
 }
 
 std::size_t StContext::FlushFrees() {
-  std::size_t previous = free_set_.size() + 1;
-  while (!free_set_.empty() && free_set_.size() < previous) {
-    previous = free_set_.size();
-    ReclaimEngine::Run(*this, config_.hashed_scan ? ScanMode::kHashed
-                                                  : ScanMode::kPerCandidate);
+  // Repeat while rounds make progress. A round that frees something may adopt
+  // deferred candidates for the next one; a round that frees nothing adopts nothing,
+  // so the survivors returned were all decided live by the last round.
+  while (!free_set_.empty()) {
+    const uint64_t frees_before = stats.frees;
+    ReclaimEngine::Run(*this);
+    if (stats.frees == frees_before) {
+      break;
+    }
   }
   return free_set_.size();
 }

@@ -47,7 +47,8 @@ struct StConfig {
   uint32_t slow_after_fails = 24;     // consecutive segment failures before slow path
   double forced_slow_fraction = 0.0;  // Fig. 5: fraction of ops forced onto slow path
   bool scan_refsets_always = false;   // test hook: scan refsets even with counter == 0
-  bool hashed_scan = false;           // §5.2 optimization: one root sweep per scan
+  bool hashed_scan = true;            // §5.2 root table: one sweep per thread per round;
+                                      // false = Algorithm 1's per-candidate round
   // Robustness knobs (see DESIGN.md "Failure model & fault injection").
   uint32_t inspect_retry_cap = 64;    // splits-counter retries before conservative "live"
   uint32_t free_highwater_mult = 4;   // back-pressure high water = mult * max_free
@@ -233,7 +234,8 @@ class StContext {
   void Retire(void* ptr, uint64_t key = 0);
   // The paper's FREE(ctx, ptr) for non-transactional callers: buffer + threshold scan.
   void Free(void* ptr);
-  // Drains the free buffer as far as liveness allows. Returns survivors still held.
+  // Drains the free buffer as far as liveness allows, adopting deferred candidates
+  // into the room each round frees. Returns survivors still held.
   std::size_t FlushFrees();
 
   std::size_t free_set_size() const { return free_set_.size(); }
@@ -419,8 +421,10 @@ std::atomic<uint32_t>& GlobalSlowPathCount();
 // operation's frame; the splits/oper protocol discards such a scan, and the stack
 // stays mapped while its thread lives, so only the read itself must be allowed.
 // Exempt from ASan, which would report a read that lands in a redzone of the
-// replacing frame (how often depends on each operation's frame layout).
-[[gnu::no_sanitize_address]] inline uintptr_t LoadFrameWord(uintptr_t addr) {
+// replacing frame (how often depends on each operation's frame layout), and from
+// TSan, which sees the by-design race with the owner's plain stores but often cannot
+// restore this read's stack, after a root-table sweep, to match a suppression.
+[[gnu::no_sanitize("address", "thread")]] inline uintptr_t LoadFrameWord(uintptr_t addr) {
   return reinterpret_cast<const std::atomic<uintptr_t>*>(addr)->load(
       std::memory_order_acquire);
 }

@@ -10,12 +10,12 @@
 //   ForEachSchemeInfo(fn)      — fn(info) over every registered scheme, in order.
 //   ResolveSchemeSelection(..) — expand a --scheme= value ("all", "help", a name,
 //                                or a comma list) into validated scheme names.
-//   WithBenchDomain<Smr>(fn)   — construct the scheme's benchmark-default Domain
-//                                and call fn(domain); the single home for
-//                                scheme-specific construction (StackTrack's
-//                                production hashed-scan config).
 //   SchemeEnvDefault(fallback) — ST_SCHEME environment override for benches whose
 //                                command line did not pick a scheme.
+//
+// Benches construct `typename Smr::Domain` with its default configuration: every
+// scheme's default is the shape it is measured in (StackTrack's scan mode is
+// core::StConfig::hashed_scan, on by default).
 #ifndef STACKTRACK_SMR_REGISTRY_H_
 #define STACKTRACK_SMR_REGISTRY_H_
 
@@ -23,10 +23,8 @@
 #include <cstdlib>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <vector>
 
-#include "core/thread_context.h"
 #include "smr/dta.h"
 #include "smr/epoch.h"
 #include "smr/hazard.h"
@@ -189,22 +187,6 @@ inline bool ResolveSchemeSelection(std::string_view selection,
     return false;
   }
   return true;
-}
-
-// Constructs Smr's benchmark-default Domain and invokes fn(domain). StackTrack runs
-// get the production configuration (hashed scan, §5.2); every other scheme's
-// default constructor already is its production shape.
-template <typename Smr, typename Fn>
-void WithBenchDomain(Fn&& fn) {
-  if constexpr (std::is_same_v<Smr, StackTrackSmr>) {
-    core::StConfig config;
-    config.hashed_scan = true;
-    typename Smr::Domain domain(config);
-    fn(domain);
-  } else {
-    typename Smr::Domain domain;
-    fn(domain);
-  }
 }
 
 }  // namespace stacktrack::smr

@@ -332,6 +332,37 @@ TEST_F(FaultTest, WatchdogFlagsAndClearsStalledThread) {
   EXPECT_EQ(core::StalledThreadMask() & bit, 0u);
 }
 
+// Candidates parked on the deferred list (a back-pressure spill or an exiting
+// thread's handoff) must be adopted by ordinary threshold rounds, not only by drains
+// or the next thread exit: a healthy thread that keeps retiring drains the list.
+TEST_F(FaultTest, ThresholdRoundsAdoptDeferredCandidates) {
+  runtime::ThreadScope scope;
+  core::StConfig config;
+  config.max_free = 4;
+  smr::StackTrackSmr::Domain domain(config);
+  core::StContext& ctx = domain.AcquireHandle();
+  auto& pool = runtime::PoolAllocator::Instance();
+  auto& deferred = core::DeferredFreeList::Instance();
+  const auto pool_before = pool.GetStats();
+  constexpr std::size_t kParked = 8;
+  void* parked[kParked];
+  for (void*& p : parked) {
+    p = pool.Alloc(32);
+  }
+  ASSERT_EQ(deferred.Push(parked, kParked), kParked);
+
+  constexpr uint32_t kRounds = 16;
+  for (uint32_t i = 0; i < kRounds * config.max_free; ++i) {
+    ctx.Free(pool.Alloc(32));  // every max_free-th call runs a threshold round
+  }
+  EXPECT_GE(ctx.stats.scan_calls, kRounds);
+  EXPECT_EQ(ctx.stats.deferred_adopted, kParked);
+  EXPECT_EQ(deferred.Size(), 0u) << "threshold rounds left parked candidates behind";
+  // Freed memory is recycled by the loop's own allocations, so count instead of
+  // probing addresses: only the retirements since the last round are still live.
+  EXPECT_EQ(pool.GetStats().live_objects, pool_before.live_objects + ctx.free_set_size());
+}
+
 // An exiting thread must hand unreclaimed candidates to the deferred list (via the
 // registry exit hook) instead of stranding them behind a dead thread id.
 TEST_F(FaultTest, ExitingThreadHandsFreeSetToDeferredList) {

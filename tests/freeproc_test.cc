@@ -176,21 +176,32 @@ TEST_F(FreeProcTest, FreedMemoryIsQuarantinedBeforeReuse) {
   }
 }
 
+// The max_free-th Free runs one round over the batch. With one registered peer, the
+// default round (the §5.2 root table) sweeps that peer once; Algorithm 1's
+// per-candidate round (hashed_scan = false) sweeps it once per candidate.
 TEST_F(FreeProcTest, MaxFreeThresholdTriggersScan) {
+  const uint32_t peer_tid = runtime::ThreadRegistry::Instance().RegisterCurrentThread();
+  auto threshold_round = [peer_tid](const StConfig& config) {
+    smr::StackTrackSmr::Domain domain(config);
+    StContext& ctx = domain.AcquireHandle();
+    StContext peer(peer_tid, config);
+    auto& pool = runtime::PoolAllocator::Instance();
+    const auto before = pool.GetStats();
+    for (uint32_t i = 0; i < config.max_free; ++i) {
+      ctx.Free(pool.Alloc(32));
+    }
+    const auto after = pool.GetStats();
+    EXPECT_EQ(after.total_frees - before.total_frees, config.max_free);  // one batch
+    EXPECT_EQ(ctx.stats.scan_calls, 1u);
+    return ctx.stats.scan_thread_inspects;
+  };
   StConfig config;
   config.max_free = 4;
-  smr::StackTrackSmr::Domain domain(config);
-  StContext& ctx = domain.AcquireHandle();
-  auto& pool = runtime::PoolAllocator::Instance();
-  const auto before = pool.GetStats();
-  for (int i = 0; i < 4; ++i) {
-    ctx.Free(pool.Alloc(32));
-  }
-  const auto after = pool.GetStats();
-  EXPECT_EQ(after.total_frees - before.total_frees, 4u);  // batch hit the threshold
-  EXPECT_GE(ctx.stats.scan_calls, 1u);
+  EXPECT_EQ(threshold_round(config), 1u) << "the default round sweeps each peer once";
+  config.hashed_scan = false;
+  EXPECT_EQ(threshold_round(config), 4u) << "Algorithm 1 sweeps the peer per candidate";
+  runtime::ThreadRegistry::Instance().Deregister(peer_tid);
 }
-
 
 TEST_F(FreeProcTest, HashedScanMatchesPerCandidateScan) {
   StContext& reclaimer = domain_.AcquireHandle();
@@ -226,12 +237,18 @@ TEST_F(FreeProcTest, HashedScanMatchesPerCandidateScan) {
   runtime::ThreadRegistry::Instance().Deregister(target_tid);
 }
 
-TEST_F(FreeProcTest, HashedScanEndToEndUnderChurn) {
+// Both rounds under list churn with exact live-object accounting: the default root
+// table and Algorithm 1's per-candidate round, which the typed scheme suites (default
+// StConfig) no longer run.
+class FreeProcScanModeTest : public FreeProcTest,
+                             public ::testing::WithParamInterface<bool> {};
+
+TEST_P(FreeProcScanModeTest, EndToEndUnderChurn) {
   auto& pool = runtime::PoolAllocator::Instance();
   const auto before = pool.GetStats();
   {
     StConfig config;
-    config.hashed_scan = true;
+    config.hashed_scan = GetParam();
     config.max_free = 8;
     smr::StackTrackSmr::Domain domain(config);
     ds::LockFreeList<smr::StackTrackSmr> list;
@@ -257,6 +274,11 @@ TEST_F(FreeProcTest, HashedScanEndToEndUnderChurn) {
   }
   EXPECT_EQ(pool.GetStats().live_objects, before.live_objects);
 }
+
+INSTANTIATE_TEST_SUITE_P(ScanModes, FreeProcScanModeTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& mode) {
+                           return mode.param ? "hashed" : "per_candidate";
+                         });
 
 // Concurrent producers pushing against concurrent consumers popping, with exact
 // accounting: Push consumes a prefix and reports how much, so every accepted pointer

@@ -33,12 +33,6 @@ class ReclaimEngineTest : public ::testing::Test {
     EXPECT_EQ(DeferredFreeList::Instance().Size(), 0u);
   }
 
-  static StConfig HashedConfig() {
-    StConfig config;
-    config.hashed_scan = true;
-    return config;
-  }
-
   runtime::ThreadScope scope_;
 };
 
@@ -56,7 +50,7 @@ struct SlotClaim {
 // NOTHING — not even completely unreferenced candidates. (Tables are private to the
 // round, so nothing is published either.)
 TEST_F(ReclaimEngineTest, RetryCappedCollectionFreesNothingAndPublishesNothing) {
-  StConfig config = HashedConfig();
+  StConfig config;
   config.inspect_retry_cap = 4;
   SlotClaim a_slot, victim_slot;
   StContext a(a_slot.tid, config);
@@ -82,7 +76,7 @@ TEST_F(ReclaimEngineTest, RetryCappedCollectionFreesNothingAndPublishesNothing) 
 // A thread parked with its splits counter odd (stalled mid-exposure) starves the
 // collection through the odd-seq retry path, with the same frees-nothing outcome.
 TEST_F(ReclaimEngineTest, OddSeqStallMakesRoundIncomplete) {
-  StConfig config = HashedConfig();
+  StConfig config;
   config.inspect_retry_cap = 4;
   SlotClaim a_slot, victim_slot;
   StContext a(a_slot.tid, config);
@@ -104,7 +98,7 @@ TEST_F(ReclaimEngineTest, OddSeqStallMakesRoundIncomplete) {
 // An overflowed reference set cannot be enumerated into a table; with refset
 // scanning in force the round is incomplete and frees nothing.
 TEST_F(ReclaimEngineTest, RefsetOverflowMakesRoundIncomplete) {
-  StConfig config = HashedConfig();
+  StConfig config;
   config.scan_refsets_always = true;
   SlotClaim a_slot, victim_slot;
   StContext a(a_slot.tid, config);
@@ -131,7 +125,7 @@ TEST_F(ReclaimEngineTest, RefsetOverflowMakesRoundIncomplete) {
 // operation ended: the table skips the reclaimer, so they do not block its frees.
 TEST_F(ReclaimEngineTest, ReclaimersOwnRootsDoNotBlockItsFrees) {
   SlotClaim a_slot;
-  StContext a(a_slot.tid, HashedConfig());
+  StContext a(a_slot.tid, StConfig{});
   TrackedFrame<2> frame(a);
   auto& pool = runtime::PoolAllocator::Instance();
   void* node = pool.Alloc(64);
@@ -147,8 +141,8 @@ TEST_F(ReclaimEngineTest, ReclaimersOwnRootsDoNotBlockItsFrees) {
 // ...but the same root in ANOTHER thread's frame does block the free.
 TEST_F(ReclaimEngineTest, OtherThreadsRootBlocksFree) {
   SlotClaim a_slot, b_slot;
-  StContext a(a_slot.tid, HashedConfig());
-  StContext b(b_slot.tid, HashedConfig());
+  StContext a(a_slot.tid, StConfig{});
+  StContext b(b_slot.tid, StConfig{});
   TrackedFrame<2> frame(a);
   auto& pool = runtime::PoolAllocator::Instance();
   void* node = pool.Alloc(64);
@@ -170,8 +164,8 @@ TEST_F(ReclaimEngineTest, OtherThreadsRootBlocksFree) {
 // a node pinned only by the finished operation's frame is freed, not re-read and kept.
 TEST_F(ReclaimEngineTest, CompletedOperationDropsItsRootsFromTheTable) {
   SlotClaim reclaimer_slot, victim_slot;
-  StContext reclaimer(reclaimer_slot.tid, HashedConfig());
-  StContext victim(victim_slot.tid, HashedConfig());
+  StContext reclaimer(reclaimer_slot.tid, StConfig{});
+  StContext victim(victim_slot.tid, StConfig{});
   TrackedFrame<2> frame(victim);
   auto& pool = runtime::PoolAllocator::Instance();
   void* node = pool.Alloc(64);

@@ -73,9 +73,7 @@ TEST_F(ReclaimServiceTest, OffloadedFreesDrainCompletelyOnShutdown) {
   core::ReclaimService service;
   service.Start();
   {
-    core::StConfig cfg;
-    cfg.hashed_scan = true;
-    smr::StackTrackSmr::Domain domain(cfg);
+    smr::StackTrackSmr::Domain domain;
     core::StContext& ctx = domain.AcquireHandle();
     constexpr int kNodes = 512;
     for (int i = 0; i < kNodes; ++i) {
@@ -115,7 +113,6 @@ TEST_F(ReclaimServiceTest, RingFullFallsBackToInlineScans) {
   ASSERT_TRUE(WaitFor([&] { return fault::IsStalled(rtid); }));
   {
     core::StConfig cfg;
-    cfg.hashed_scan = true;
     cfg.max_free = 4;
     smr::StackTrackSmr::Domain domain(cfg);
     core::StContext& ctx = domain.AcquireHandle();
@@ -145,9 +142,7 @@ TEST_F(ReclaimServiceTest, BackpressureEngagesOnLagAndClearsAtHalf) {
   core::ReclaimService service(svc_cfg);
   service.Start();
   {
-    core::StConfig cfg;
-    cfg.hashed_scan = true;
-    smr::StackTrackSmr::Domain domain(cfg);
+    smr::StackTrackSmr::Domain domain;
     core::StContext& ctx = domain.AcquireHandle();
 
     // Manufacture registry-wide lag directly through this context's counters (the
@@ -194,9 +189,7 @@ TEST_F(ReclaimServiceTest, FailoverAdoptsShardsOfStalledReclaimer) {
       << "the surviving reclaimer never flagged its frozen peer";
 
   {
-    core::StConfig cfg;
-    cfg.hashed_scan = true;
-    smr::StackTrackSmr::Domain domain(cfg);
+    smr::StackTrackSmr::Domain domain;
     core::StContext& ctx = domain.AcquireHandle();
     // Work offered after the failover — including work landing in the dead
     // reclaimer's shards — still drains via the surviving reclaimer.
