@@ -11,11 +11,10 @@
 // carries the peak and final lag for the gate.
 //
 // Scheme-by-scheme expectations, measured here:
-//  * stacktrack-service — StackTrack with the asynchronous ReclaimService. Tight
-//    ceiling in BOTH scenarios: reclaimers conservatively skip the stalled/dead
-//    victim (bounded inspection) and keep freeing what liveness allows.
-//  * stacktrack — inline baseline, reported for contrast (mutators absorb the scan
-//    cost themselves; same bounded-garbage property, worse hot path).
+//  * stacktrack — tight ceiling in BOTH scenarios: every round conservatively keeps
+//    what the stalled/dead victim may reference (bounded inspection) and frees the
+//    rest, and back-pressure bounds each thread's free set, so peak garbage stays
+//    within threads x (free_highwater_mult + 1) x max_free.
 //  * hyaline — never waits and never scans; lag grows only with retires inserted
 //    during a stall window and drains on release. Death is its documented gap: a
 //    victim killed INSIDE an operation would leak every later batch (plain
@@ -23,13 +22,10 @@
 //    at an operation boundary — death outside a critical section delays nothing.
 //
 // Usage: robustness_lag [--scheme=S] [--scenario=stall|death|none] [--threads=N]
-//                       [--ms=N] [--smoke] [--freepath] [--json]
-//   --scheme    any smr/registry.h name, the bench-local "stacktrack-service"
-//               variant, a comma list, "all" (the three contract schemes above),
-//               or "help"; default honors ST_SCHEME
+//                       [--ms=N] [--smoke] [--json]
+//   --scheme    any smr/registry.h name, a comma list, "all" (the two contract
+//               schemes above), or "help"; default honors ST_SCHEME
 //   --smoke     short windows for CI (also honors ST_BENCH_MS)
-//   --freepath  instead of scenarios, measure the mutator-side cost of free():
-//               ns/op for inline StackTrack vs. StackTrack+service (hot-path win)
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -39,11 +35,9 @@
 #include <vector>
 
 #include "bench/harness.h"
-#include "core/reclaim_service.h"
 #include "core/stats_export.h"
 #include "ds/list.h"
 #include "runtime/fault.h"
-#include "runtime/pool_alloc.h"
 #include "smr/registry.h"
 
 namespace stacktrack::bench {
@@ -52,13 +46,12 @@ namespace {
 namespace fault = runtime::fault;
 
 struct Options {
-  std::string scheme = "all";    // registry names + "stacktrack-service"; see usage
+  std::string scheme = "all";    // registry names; see usage
   std::string scenario = "stall";  // stall | death | none
   uint32_t threads = 4;
   uint32_t duration_ms = 400;
   uint32_t stall_ms = 100;  // how long the victim stays parked / when it dies
   bool smoke = false;
-  bool freepath = false;
   bool json = false;
 };
 
@@ -68,7 +61,6 @@ struct LagReport {
   uint64_t retires = 0;
   uint64_t frees = 0;
   uint64_t ops = 0;
-  core::Stats service_delta{};  // registry delta (StackTrack runs only)
 };
 
 // Samples domain.Snapshot() on a sidecar thread; ReclamationLag over the samples
@@ -126,7 +118,6 @@ LagReport RunScenario(const Options& opt, typename Smr::Domain& domain,
   std::atomic<uint64_t> total_ops{0};
   runtime::SpinBarrier barrier(workers + 2);
 
-  const core::Stats registry_before = core::StatsRegistry::Instance().Sum();
   LagReport report;
   {
     LagProbe<typename Smr::Domain> probe(domain);
@@ -237,8 +228,6 @@ LagReport RunScenario(const Options& opt, typename Smr::Domain& domain,
   report.retires = snap.totals.retires;
   report.frees = snap.totals.frees;
   report.ops = total_ops.load(std::memory_order_relaxed);
-  report.service_delta = core::StatsRegistry::Instance().Sum();
-  report.service_delta -= registry_before;
   return report;
 }
 
@@ -247,18 +236,13 @@ void PrintReport(const Options& opt, const char* scheme, const LagReport& r) {
     std::printf(
         "{\"scheme\":\"%s\",\"scenario\":\"%s\",\"threads\":%u,\"ms\":%u,"
         "\"ops\":%llu,\"retires\":%llu,\"frees\":%llu,\"max_lag\":%llu,"
-        "\"final_lag\":%llu,\"service_batches\":%llu,\"steals\":%llu,"
-        "\"failovers\":%llu,\"inline_fallbacks\":%llu}\n",
+        "\"final_lag\":%llu}\n",
         scheme, opt.scenario.c_str(), opt.threads, opt.duration_ms,
         static_cast<unsigned long long>(r.ops),
         static_cast<unsigned long long>(r.retires),
         static_cast<unsigned long long>(r.frees),
         static_cast<unsigned long long>(r.max_lag),
-        static_cast<unsigned long long>(r.final_lag),
-        static_cast<unsigned long long>(r.service_delta.service_batches),
-        static_cast<unsigned long long>(r.service_delta.steals),
-        static_cast<unsigned long long>(r.service_delta.failovers),
-        static_cast<unsigned long long>(r.service_delta.inline_fallbacks));
+        static_cast<unsigned long long>(r.final_lag));
   } else {
     std::printf("%-20s %-6s ops=%-10llu retires=%-9llu frees=%-9llu max_lag=%-7llu "
                 "final_lag=%llu\n",
@@ -271,27 +255,6 @@ void PrintReport(const Options& opt, const char* scheme, const LagReport& r) {
   }
 }
 
-void RunStackTrack(const Options& opt, bool with_service) {
-  core::ReclaimService service;  // constructed either way; started conditionally
-  if (with_service) {
-    service.Start();
-  }
-  LagReport report;
-  {
-    smr::StackTrackSmr::Domain domain;
-    report = RunScenario<smr::StackTrackSmr>(opt, domain, /*mid_op_death=*/true);
-    if (with_service) {
-      service.Stop();  // drains rings before the domain (and its contexts) go away
-    }
-    core::StatsSnapshot snap;
-    snap.ns = runtime::trace::NowNanos();
-    snap.totals = domain.Snapshot();
-    report.final_lag = core::ReclamationLag(snap);
-    report.frees = snap.totals.frees;
-  }
-  PrintReport(opt, with_service ? "stacktrack-service" : "stacktrack", report);
-}
-
 // Any registered scheme runs through the generic scenario; hyaline's victim dies
 // at an operation boundary (see the header comment), everyone else's mid-op.
 void RunRegistryScheme(const Options& opt, const std::string& name) {
@@ -301,100 +264,6 @@ void RunRegistryScheme(const Options& opt, const std::string& name) {
         opt, domain, /*victim_dies_mid_op=*/!std::is_same_v<Smr, smr::HyalineSmr>);
     PrintReport(opt, info.name, report);
   });
-}
-
-// Hot-path microbenchmark: per-call free() latency with the service consuming
-// (enqueue-only mutator path) vs. the inline engine (the mutator pays for every
-// threshold scan itself). The interesting signal is the TAIL: inline free() is
-// cheap until the scan_threshold-th call, which absorbs a whole root scan; with
-// the service the mutator cost is a flat ring push. Mean throughput on a 1-core
-// host also charges the reclaimer's CPU time to the wall clock, so means can
-// favor inline there — p99/max are the honest hot-path comparison.
-struct FreePathSample {
-  double mean_ns = 0.0;
-  uint64_t p50_ns = 0;
-  uint64_t p99_ns = 0;
-  uint64_t max_ns = 0;
-};
-
-void RunFreePath(const Options& opt) {
-  constexpr uint32_t kFrees = 200000;
-  const uint32_t n = opt.smoke ? kFrees / 10 : kFrees;
-  auto measure = [&](bool with_service) -> FreePathSample {
-    // Size the hand-off ring for the burst (its purpose): with the ring absorbing
-    // every free, the mutator path is a pure enqueue and the scans all happen on
-    // the reclaimer. A production deployment sizes rings for its burst rate the
-    // same way. Lag back-pressure would also refuse offers mid-burst; the bench
-    // raises the threshold so the hot path is measured, not the governor.
-    core::ReclaimServiceConfig svc_cfg;
-    svc_cfg.reclaimers = 1;
-    svc_cfg.ring_capacity = n;  // rounded up to a power of two by the service
-    svc_cfg.lag_threshold = 4ull * n;
-    core::ReclaimService service(svc_cfg);
-    if (with_service) {
-      service.Start();
-    }
-    FreePathSample sample;
-    {
-      smr::StackTrackSmr::Domain domain;
-      runtime::ThreadScope scope;
-      auto& handle = domain.AcquireHandle();
-      (void)handle;
-      auto& ctx = *core::ActivityArray::Instance().Get(scope.tid());
-      auto& pool = runtime::PoolAllocator::Instance();
-      std::vector<void*> nodes;
-      nodes.reserve(n);
-      for (uint32_t i = 0; i < n; ++i) {
-        nodes.push_back(pool.Alloc(64));
-      }
-      std::vector<uint64_t> lat(n);
-      uint64_t total = 0;
-      for (uint32_t i = 0; i < n; ++i) {
-        const uint64_t begin = runtime::trace::NowNanos();
-        ctx.Free(nodes[i]);
-        const uint64_t end = runtime::trace::NowNanos();
-        lat[i] = end - begin;
-        total += lat[i];
-      }
-      ctx.FlushFrees();
-      std::sort(lat.begin(), lat.end());
-      sample.mean_ns = static_cast<double>(total) / n;
-      sample.p50_ns = lat[n / 2];
-      sample.p99_ns = lat[n - 1 - n / 100];
-      sample.max_ns = lat[n - 1];
-      if (with_service) {
-        service.Stop();
-      }
-    }
-    return sample;
-  };
-  const FreePathSample inl = measure(false);
-  const FreePathSample svc = measure(true);
-  const double tail_win =
-      svc.p99_ns > 0 ? static_cast<double>(inl.p99_ns) / svc.p99_ns : 0.0;
-  if (opt.json) {
-    std::printf(
-        "{\"freepath\":{\"inline\":{\"mean_ns\":%.1f,\"p50_ns\":%llu,"
-        "\"p99_ns\":%llu,\"max_ns\":%llu},\"service\":{\"mean_ns\":%.1f,"
-        "\"p50_ns\":%llu,\"p99_ns\":%llu,\"max_ns\":%llu},"
-        "\"p99_win\":%.2f}}\n",
-        inl.mean_ns, static_cast<unsigned long long>(inl.p50_ns),
-        static_cast<unsigned long long>(inl.p99_ns),
-        static_cast<unsigned long long>(inl.max_ns), svc.mean_ns,
-        static_cast<unsigned long long>(svc.p50_ns),
-        static_cast<unsigned long long>(svc.p99_ns),
-        static_cast<unsigned long long>(svc.max_ns), tail_win);
-  } else {
-    std::printf("free() inline : mean %.1f ns p50 %llu p99 %llu max %llu\n",
-                inl.mean_ns, static_cast<unsigned long long>(inl.p50_ns),
-                static_cast<unsigned long long>(inl.p99_ns),
-                static_cast<unsigned long long>(inl.max_ns));
-    std::printf("free() service: mean %.1f ns p50 %llu p99 %llu max %llu "
-                "(p99 win %.2fx)\n",
-                svc.mean_ns, static_cast<unsigned long long>(svc.p50_ns),
-                static_cast<unsigned long long>(svc.p99_ns),
-                static_cast<unsigned long long>(svc.max_ns), tail_win);
-  }
 }
 
 int Main(int argc, char** argv) {
@@ -418,8 +287,6 @@ int Main(int argc, char** argv) {
       opt.duration_ms = static_cast<uint32_t>(std::atoi(v));
     } else if (arg == "--smoke") {
       opt.smoke = true;
-    } else if (arg == "--freepath") {
-      opt.freepath = true;
     } else if (arg == "--json") {
       opt.json = true;
     } else {
@@ -431,35 +298,20 @@ int Main(int argc, char** argv) {
     opt.duration_ms = EnvMs(200);
     opt.stall_ms = opt.duration_ms / 4;
   }
-  // "all" keeps its historical meaning: the three schemes whose robustness
-  // contracts the header documents (and check_reclaim_lag.sh gates). Any other
-  // registered scheme is still runnable by name.
-  const std::vector<std::string> contract_schemes = {"stacktrack",
-                                                     "stacktrack-service",
-                                                     "hyaline"};
-  const std::vector<std::string> extra = {"stacktrack-service"};
+  // "all" is the two schemes whose robustness contracts the header documents (and
+  // check_reclaim_lag.sh gates). Any other registered scheme is runnable by name.
+  const std::vector<std::string> contract_schemes = {"stacktrack", "hyaline"};
   std::vector<std::string> schemes;
-  if (!smr::ResolveSchemeSelection(opt.scheme, contract_schemes, &schemes, extra)) {
+  if (!smr::ResolveSchemeSelection(opt.scheme, contract_schemes, &schemes)) {
     return opt.scheme == "help" ? 0 : 2;
   }
   InstallCrashHandler();
-
-  if (opt.freepath) {
-    RunFreePath(opt);
-    return 0;
-  }
   if (!opt.json) {
     std::printf("# robustness_lag: scenario=%s threads=%u ms=%u stall_ms=%u\n",
                 opt.scenario.c_str(), opt.threads, opt.duration_ms, opt.stall_ms);
   }
   for (const std::string& name : schemes) {
-    if (name == "stacktrack") {
-      RunStackTrack(opt, /*with_service=*/false);
-    } else if (name == "stacktrack-service") {
-      RunStackTrack(opt, /*with_service=*/true);
-    } else {
-      RunRegistryScheme(opt, name);
-    }
+    RunRegistryScheme(opt, name);
   }
   return 0;
 }

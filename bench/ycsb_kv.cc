@@ -21,9 +21,10 @@
 // p50/p99/p999 per op kind.
 //
 // Every scheme in smr/registry.h is runnable by name (--scheme=help lists them) —
-// and the StackTrack runs compose with both STM engines (ST_STM=lazy|2pl), both
-// split predictors (ST_PREDICTOR=streak|cost), and the warm-start tables
-// (ST_PREDICTOR_WARM=bench/warm/<preset>.json).
+// and the StackTrack runs compose with both split predictors
+// (ST_PREDICTOR=streak|cost) and the warm-start tables
+// (ST_PREDICTOR_WARM=bench/warm/<preset>.json). Every StackTrack round runs inline on
+// the retiring thread.
 //
 // Usage: ycsb_kv [--preset=a|b|c|all] [--scheme=NAME|all] [--threads=N] [--ms=N]
 //                [--keys=N] [--shards=N] [--theta=F] [--scans] [--ramp=MS]
@@ -146,10 +147,6 @@ struct Options {
   std::string trace_out;       // path for the merged trace JSON (armed runs)
 };
 
-const char* StmEngineName() {
-  return htm::ActiveStmEngine() == htm::StmEngine::kLazy ? "lazy" : "2pl";
-}
-
 template <typename Smr>
 workload::RunResult RunKv(typename Smr::Domain& domain, const Options& opt,
                           const workload::Scenario& scenario) {
@@ -215,14 +212,13 @@ void PrintResult(const Options& opt, const char* scheme,
     latency += "}";
     std::printf(
         "{\"bench\":\"ycsb_kv\",\"scheme\":\"%s\",\"preset\":\"%s\","
-        "\"threads\":%u,\"ms\":%u,\"keys\":%llu,\"theta\":%.2f,\"stm\":\"%s\","
+        "\"threads\":%u,\"ms\":%u,\"keys\":%llu,\"theta\":%.2f,"
         "\"predictor\":\"%s\",\"warm_seeds\":%zu,\"ops\":%llu,"
         "\"ops_per_sec\":%.0f,\"retires\":%llu,\"frees\":%llu,\"final_lag\":%llu,"
         "\"latency_ns\":%s,\"stats\":%s,\"scheme_stats\":%s}\n",
         scheme, scenario.name.c_str(), scenario.threads, scenario.duration_ms,
         static_cast<unsigned long long>(scenario.keys.key_range),
-        scenario.keys.zipf_theta, StmEngineName(),
-        core::PredictorName(core::ActivePredictor()),
+        scenario.keys.zipf_theta, core::PredictorName(core::ActivePredictor()),
         core::PredictorWarmTable::Instance().CountSeeds(),
         static_cast<unsigned long long>(result.total_ops), result.ops_per_sec,
         static_cast<unsigned long long>(retires),
@@ -367,9 +363,9 @@ int Main(int argc, char** argv) {
   }
   if (!opt.json) {
     std::printf("# ycsb_kv: sharded KV (shards=%u) + list index + queue handoff, "
-                "zipf theta=%.2f keys=%llu, stm=%s predictor=%s\n",
+                "zipf theta=%.2f keys=%llu, predictor=%s\n",
                 opt.shards, opt.theta,
-                static_cast<unsigned long long>(opt.key_range), StmEngineName(),
+                static_cast<unsigned long long>(opt.key_range),
                 core::PredictorName(core::ActivePredictor()));
   }
   if (opt.preset == "all") {

@@ -50,19 +50,21 @@ std::size_t DeferredFreeList::PopBatch(void** out, std::size_t max) {
 
 namespace {
 
-// Watchdog bookkeeping shared by all reclaimers. Each reclamation round counts as one
-// tick; a thread that is mid-operation (op_active set) with an unchanged
-// oper_counter for watchdog_rounds consecutive rounds is flagged as stalled.
-// oper_counter alone cannot distinguish "stalled" from "idle", hence op_active.
-// Every reclamation round writes the latch and round counter, so the block gets cache
-// lines of its own: placed by the linker next to read-mostly flags that every
+// Watchdog bookkeeping shared by all reclaimers. Each reclamation round is one tick; a
+// thread that stays inside one operation (op_active set, oper_counter unchanged) for
+// watchdog_deadline_ns, timed from the first tick that saw it there, is flagged as
+// stalled. oper_counter alone cannot distinguish "stalled" from "idle", hence
+// op_active. The deadline is a time, not a round count: every thread runs a round per
+// max_free retires, so an ordinary operation can span many rounds.
+// Every reclamation round writes the latch and the per-thread stamps, so the block gets
+// cache lines of its own: placed by the linker next to read-mostly flags that every
 // transaction or trace site loads (htm backend, trace arming, fault arming), it made
 // each round a coherence miss for every other thread.
 struct alignas(runtime::kCacheLineSize) Watchdog {
   runtime::SpinLatch latch;
-  uint64_t round = 0;
   uint64_t last_oper[runtime::kMaxThreads] = {};
-  uint64_t last_progress_round[runtime::kMaxThreads] = {};
+  uint64_t op_seen_ns[runtime::kMaxThreads] = {};  // when a tick first saw the
+                                                   // operation in flight; 0 = none
   std::atomic<uint64_t> stalled_mask{0};
 };
 
@@ -173,27 +175,28 @@ template <typename Sweep>
 void WatchdogTick(StContext& reclaimer) {
   Watchdog& wd = TheWatchdog();
   if (!wd.latch.TryLock()) {
-    return;  // another reclaimer is ticking; rounds are global, not per thread
+    return;  // another reclaimer is ticking; the watchdog is global, not per thread
   }
-  const uint64_t round = ++wd.round;
-  const uint64_t threshold = reclaimer.config().watchdog_rounds;
+  // One clock read per tick: rounds run outside transactions.
+  const uint64_t now = trace::NowNanos();
+  const uint64_t deadline = reclaimer.config().watchdog_deadline_ns;
   uint64_t mask = wd.stalled_mask.load(std::memory_order_relaxed);
   const uint32_t watermark = runtime::ThreadRegistry::Instance().high_watermark();
   for (uint32_t tid = 0; tid < watermark && tid < runtime::kMaxThreads; ++tid) {
     const uint64_t bit = uint64_t{1} << tid;
     StContext* target = ActivityArray::Instance().Get(tid);
-    if (target == nullptr) {
-      mask &= ~bit;
-      wd.last_progress_round[tid] = round;
-      continue;
-    }
-    const uint64_t oper = target->oper_counter.load(std::memory_order_acquire);
-    const bool mid_op = target->op_active.load(std::memory_order_acquire) != 0;
-    if (oper != wd.last_oper[tid] || !mid_op) {
+    const uint64_t oper =
+        target == nullptr ? 0 : target->oper_counter.load(std::memory_order_acquire);
+    const bool mid_op =
+        target != nullptr && target->op_active.load(std::memory_order_acquire) != 0;
+    if (!mid_op || oper != wd.last_oper[tid]) {
+      // Idle, gone, or inside a newer operation than the last tick saw: progress.
       wd.last_oper[tid] = oper;
-      wd.last_progress_round[tid] = round;
+      wd.op_seen_ns[tid] = mid_op ? now : 0;
       mask &= ~bit;
-    } else if ((mask & bit) == 0 && round - wd.last_progress_round[tid] >= threshold) {
+    } else if (wd.op_seen_ns[tid] == 0) {
+      wd.op_seen_ns[tid] = now;  // first tick to see this operation in flight
+    } else if ((mask & bit) == 0 && now - wd.op_seen_ns[tid] >= deadline) {
       mask |= bit;
       ++reclaimer.stats.watchdog_reports;
       trace::Emit(trace::Event::kWatchdogReport, tid);

@@ -51,12 +51,14 @@ class DeferredFreeList {
   void* slots_[kCapacity];
 };
 
-// Bit `tid` is set while the watchdog considers that thread stalled: mid-operation
-// with no oper_counter progress across >= StConfig::watchdog_rounds scans. Bits clear
-// when the thread advances. Updated opportunistically by every reclamation round.
+// Bit `tid` is set while the watchdog considers that thread stalled: inside one
+// operation for at least StConfig::watchdog_deadline_ns, as seen by reclamation rounds.
+// Bits clear when the thread advances. Updated opportunistically by every round.
 uint64_t StalledThreadMask();
 
-// One global watchdog round: walks registered threads and updates StalledThreadMask.
+// One global watchdog tick: walks registered threads and updates StalledThreadMask,
+// counting each newly flagged thread in stats.watchdog_reports (and a kWatchdogReport
+// trace event), which are the watchdog's output.
 // Runs as the final stage of every ReclaimEngine round; a tick that loses the
 // watchdog latch is skipped (rounds are global, not per thread).
 void WatchdogTick(StContext& reclaimer);

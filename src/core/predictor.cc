@@ -30,9 +30,9 @@ PredictorKind PredictorFromEnv() {
   return PredictorKind::kStreak;
 }
 
-// Latch ST_PREDICTOR before main(), like the ST_STM latch in htm/htm.cc, so every
-// segment in the process — including ones run from static initializers — sees one
-// policy. ST_PREDICTOR_WARM optionally pre-loads the warm-start table the same way.
+// Latch ST_PREDICTOR before main(), so every segment in the process — including ones
+// run from static initializers — sees one policy. ST_PREDICTOR_WARM optionally
+// pre-loads the warm-start table the same way.
 [[maybe_unused]] const bool g_predictor_env_latched = [] {
   internal::g_predictor = PredictorFromEnv();
   if (const char* path = std::getenv("ST_PREDICTOR_WARM");

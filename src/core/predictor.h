@@ -16,9 +16,8 @@
 //    slow-path vs transactional-retry cost ratio (see CalibratePredictorBands), so
 //    the limit parks just under the capacity cliff instead of oscillating around it.
 //
-// The policy is latched from ST_PREDICTOR (streak|cost) at static init, exactly like
-// the ST_STM engine latch in htm/htm.cc; SelectPredictor() lets tests and the A/B
-// bench switch at quiescent points.
+// The policy is latched from ST_PREDICTOR (streak|cost) at static init;
+// SelectPredictor() lets tests and the A/B bench switch at quiescent points.
 //
 // The warm-start pipeline also lives here: PredictorWarmTable is a process-wide
 // per-(op, segment) seed table. It is filled either offline (tools/predictor_tune
@@ -50,7 +49,7 @@ enum class PredictorKind : uint8_t {
 };
 
 namespace internal {
-// Non-atomic on purpose, like htm::internal::g_stm_engine: latched from the
+// Non-atomic on purpose, like htm::internal::g_backend: latched from the
 // environment before main(), switched afterwards only at quiescent points.
 inline PredictorKind g_predictor = PredictorKind::kStreak;
 }  // namespace internal
@@ -66,9 +65,9 @@ const char* PredictorName(PredictorKind kind);
 // ---- Abort-cause families --------------------------------------------------------
 
 // The cost model folds htm::AbortCause into three families: capacity (deterministic
-// footprint overflow), conflict (transient contention, including the 2PL engine's
-// reader/writer refinements), and ignored (explicit aborts are protocol decisions,
-// "other" is spurious noise — neither says anything about the segment's length).
+// footprint overflow), conflict (transient contention), and ignored (explicit aborts
+// are protocol decisions, "other" is spurious noise — neither says anything about
+// the segment's length).
 enum class CauseFamily : uint8_t {
   kCommit = 0,  // not an abort; used to tag growth decisions in trace records
   kConflict = 1,
@@ -81,8 +80,6 @@ constexpr CauseFamily CauseFamilyOf(int cause) {
     case htm::AbortCause::kCapacity:
       return CauseFamily::kCapacity;
     case htm::AbortCause::kConflict:
-    case htm::AbortCause::kConflictReader:
-    case htm::AbortCause::kConflictWriter:
       return CauseFamily::kConflict;
     default:
       return CauseFamily::kIgnored;

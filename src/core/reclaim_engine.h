@@ -40,7 +40,7 @@ class ReclaimEngine {
   static void Run(StContext& reclaimer, ScanMode mode);
 
   // One round in the mode the reclaimer's StConfig::hashed_scan selects: what every
-  // threshold round, FlushFrees drain, exit handoff and service round runs.
+  // threshold round, FlushFrees drain and exit handoff runs.
   static void Run(StContext& reclaimer) {
     Run(reclaimer, reclaimer.config().hashed_scan ? ScanMode::kHashed
                                                   : ScanMode::kPerCandidate);

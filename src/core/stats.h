@@ -20,22 +20,15 @@ namespace stacktrack::core {
   X(segments_committed)         /* fast-path segment commits */                           \
   X(segments_slow)              /* segments executed on the software slow path */         \
   X(steps_committed)            /* basic blocks inside committed segments */              \
-  /* Abort taxonomy (counted per failed fast-path attempt). aborts_conflict covers        \
-     every conflict-family cause; the reader/writer splits below refine it when the       \
-     2PL engine attributes the conflicting party (lazy validation cannot, so they         \
-     stay 0 under ST_STM=lazy). */                                                        \
+  /* Abort taxonomy (counted per failed fast-path attempt). */                            \
   X(aborts_conflict)                                                                      \
   X(aborts_capacity)                                                                      \
   X(aborts_explicit)                                                                      \
   X(aborts_other)                                                                         \
-  X(aborts_conflict_reader)     /* writer yielded the orec to an older reader */          \
-  X(aborts_conflict_writer)     /* blocked by / doomed in favor of an older writer */     \
   /* Software-engine internals, drained from htm::ConsumeStmCounters() at segment         \
-     boundaries. Waits count spins against a held stripe/orec; handoffs count 2PL         \
-     priority-token resolutions (a younger holder doomed in the winner's favor); the      \
-     eager/commit split locates where conflict aborts were raised. */                     \
-  X(stm_orec_waits)                                                                       \
-  X(stm_priority_handoffs)                                                                \
+     boundaries. Waits count spins against a held stripe; the eager/commit split          \
+     locates where conflict aborts were raised. */                                        \
+  X(stm_stripe_waits)                                                                     \
   X(stm_eager_conflict_aborts)                                                            \
   X(stm_commit_conflict_aborts)                                                           \
   /* Split-length predictor activity (both policies; see core/predictor.h). */            \
@@ -72,14 +65,6 @@ namespace stacktrack::core {
      repository benchmark reports it as core.snapshot_reuse_ratio. */                     \
   X(snapshot_reuses)                                                                      \
   X(snapshot_incomplete)        /* hashed rounds whose table could not prove absence */   \
-  /* Asynchronous reclamation service (core/reclaim_service.h). service_batches and       \
-     steals count on the reclaimer contexts; failovers on whichever reclaimer             \
-     detected the dead peer; inline_fallbacks on the mutator that had to scan for         \
-     itself. */                                                                           \
-  X(service_batches)            /* hand-off ring batches consumed by reclaimers */        \
-  X(steals)                     /* batches drained from another reclaimer's shard */      \
-  X(failovers)                  /* stalled/dead reclaimers failed over to a peer */       \
-  X(inline_fallbacks)           /* mutator frees that fell back to inline scanning */     \
   /* Hazard pointers (smr/hazard.h): a nonzero value means some traversal indexed past     \
      its slot budget (protocol break). */                                                 \
   X(guard_slot_overflows)       /* guard-slot indexes clamped out of range (sticky) */

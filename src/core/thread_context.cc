@@ -9,7 +9,6 @@
 #include "core/free_proc.h"
 #include "core/predictor.h"
 #include "core/reclaim_engine.h"
-#include "core/reclaim_service.h"
 #include "runtime/backoff.h"
 #include "runtime/fault.h"
 #include "runtime/trace.h"
@@ -20,13 +19,12 @@ namespace trace = runtime::trace;
 
 namespace {
 
-// Drains the htm layer's per-thread engine counters (stripe/orec waits, priority
-// handoffs, eager-vs-commit conflict split) into this context's Stats block. Called
-// at segment boundaries — the engines only touch thread-local state in between.
+// Drains the htm layer's per-thread engine counters (stripe waits, eager-vs-commit
+// conflict split) into this context's Stats block. Called at segment boundaries — the
+// engine only touches thread-local state in between.
 void FoldStmCounters(Stats& stats) {
   const htm::StmTxCounters counters = htm::ConsumeStmCounters();
-  stats.stm_orec_waits += counters.orec_waits;
-  stats.stm_priority_handoffs += counters.priority_handoffs;
+  stats.stm_stripe_waits += counters.stripe_waits;
   stats.stm_eager_conflict_aborts += counters.eager_conflict_aborts;
   stats.stm_commit_conflict_aborts += counters.commit_conflict_aborts;
 }
@@ -269,16 +267,6 @@ void StContext::SegmentAborted(int cause) {
     case static_cast<int>(htm::AbortCause::kConflict):
       ++stats.aborts_conflict;
       break;
-    case static_cast<int>(htm::AbortCause::kConflictReader):
-      // 2PL refinements stay part of the conflict family for the predictor and the
-      // Fig. 3 taxonomy, with the conflicting party recorded on the side.
-      ++stats.aborts_conflict;
-      ++stats.aborts_conflict_reader;
-      break;
-    case static_cast<int>(htm::AbortCause::kConflictWriter):
-      ++stats.aborts_conflict;
-      ++stats.aborts_conflict_writer;
-      break;
     case static_cast<int>(htm::AbortCause::kCapacity):
       ++stats.aborts_capacity;
       break;
@@ -294,7 +282,7 @@ void StContext::SegmentAborted(int cause) {
   PredictorOnAbort(CurrentCell(), cause);
   ++attempt_fails_;
 
-  if (htm::IsConflictCause(static_cast<htm::AbortCause>(cause))) {
+  if (cause == static_cast<int>(htm::AbortCause::kConflict)) {
     runtime::ExponentialBackoff backoff(8, 256);
     for (uint32_t i = 0; i < attempt_fails_ && i < 4; ++i) {
       backoff.Pause();
@@ -356,7 +344,7 @@ void StContext::PredictorOnAbort(PredictorCell& cell, int cause) {
                   PredictorTraceArg(cell.limit, op_id_, segment_index_,
                                     CauseFamily::kCapacity));
     }
-  } else {  // conflict family (incl. the 2PL reader/writer refinements)
+  } else {  // conflict family
     cell.ewma_conflict += static_cast<uint16_t>(
         (kPredictorEwmaOne - cell.ewma_conflict) >> kPredictorEwmaShift);
     cell.ewma_capacity -= static_cast<uint16_t>(cell.ewma_capacity >> kPredictorEwmaShift);
@@ -543,20 +531,6 @@ void StContext::Free(void* ptr) {
 }
 
 void StContext::MaybeReclaim() {
-  if (ReclaimService* service = ReclaimService::Active()) {
-    const std::size_t accepted =
-        service->OfferBatch(tid_, free_set_.data(), free_set_.size());
-    if (accepted != 0) {
-      free_set_.erase(free_set_.begin(),
-                      free_set_.begin() + static_cast<std::ptrdiff_t>(accepted));
-    }
-    if (free_set_.size() < scan_threshold_) {
-      return;
-    }
-    // Ring full or back-pressure engaged: the service is saturated, so this thread
-    // pays for its own scan, exactly as it would without a service.
-    ++stats.inline_fallbacks;
-  }
   if (free_set_.size() >= scan_threshold_) {
     ReclaimEngine::Run(*this);
   }

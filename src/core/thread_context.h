@@ -52,7 +52,8 @@ struct StConfig {
   // Robustness knobs (see DESIGN.md "Failure model & fault injection").
   uint32_t inspect_retry_cap = 64;    // splits-counter retries before conservative "live"
   uint32_t free_highwater_mult = 4;   // back-pressure high water = mult * max_free
-  uint32_t watchdog_rounds = 8;       // scans without oper progress -> thread reported
+  uint64_t watchdog_deadline_ns = 50'000'000;  // one operation in flight this long,
+                                               // as seen by rounds -> thread reported
   // Warm-start hook: JSON file (tools/predictor_tune output or a PredictorTableToJson
   // dump) loaded into the process-wide PredictorWarmTable when the first context with
   // this config is created. Empty = no load (ST_PREDICTOR_WARM covers the env path).
@@ -358,9 +359,7 @@ class StContext {
   // EWMA model documented in core/predictor.h / DESIGN.md §5e.
   void PredictorOnAbort(PredictorCell& cell, int cause);
   void PredictorOnCommit();
-  // Post-retire disposition: offer the free set to the active ReclaimService
-  // (near-constant-time ring enqueue); whatever the service refuses falls back to
-  // the inline threshold scan (stats.inline_fallbacks).
+  // Post-retire disposition: a free set at the scan threshold runs one inline round.
   void MaybeReclaim();
   void SaveReplayRoots();
   void RestoreReplayRoots();

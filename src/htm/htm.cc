@@ -1,8 +1,6 @@
 #include "htm/htm.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "runtime/trace.h"
 
@@ -10,28 +8,6 @@ namespace stacktrack::htm {
 
 namespace {
 
-StmEngine EngineFromEnv() {
-  const char* value = std::getenv("ST_STM");
-  if (value == nullptr || value[0] == '\0' || std::strcmp(value, "lazy") == 0) {
-    return StmEngine::kLazy;
-  }
-  if (std::strcmp(value, "2pl") == 0 || std::strcmp(value, "orec") == 0) {
-    return StmEngine::kOrec;
-  }
-  std::fprintf(stderr,
-               "stacktrack: unknown ST_STM value '%s' (expected lazy|2pl); "
-               "using the lazy engine\n",
-               value);
-  return StmEngine::kLazy;
-}
-
-// Latch ST_STM before main() so every transaction in the process — including ones
-// started from static initializers of benchmarks — sees one engine. g_stm_engine is
-// constant-initialized, so this dynamic initializer always runs after it exists.
-[[maybe_unused]] const bool g_stm_env_latched = [] {
-  internal::g_stm_engine = EngineFromEnv();
-  return true;
-}();
 // Hands the trace layer a way to detect an armed emit inside a transaction — a
 // guaranteed RTM abort (clock_gettime / vvar, see rtm_backend.cc) that would silently
 // force every fast-path segment onto the slow path. InTx() covers both backends; the
@@ -67,16 +43,5 @@ void SelectBackend(BackendKind kind) {
 }
 
 BackendKind ActiveBackend() { return internal::g_backend; }
-
-void SelectStmEngine(StmEngine engine) {
-  if (InTx()) {
-    std::fprintf(stderr,
-                 "stacktrack: SelectStmEngine called inside a transaction\n");
-    std::abort();
-  }
-  internal::g_stm_engine = engine;
-}
-
-StmEngine ActiveStmEngine() { return internal::g_stm_engine; }
 
 }  // namespace stacktrack::htm

@@ -26,7 +26,7 @@ void ResetTx(TxDesc& tx) {
 }
 
 // `eager` distinguishes aborts raised at the access site from commit-time ones in
-// the per-engine counters; for this lazy engine almost every conflict is commit-time.
+// the engine counters; under lazy validation almost every conflict is commit-time.
 [[noreturn]] void AbortTx(TxDesc& tx, int cause, bool eager = false) {
   const uint64_t footprint = tx.read_count + tx.write_count;
   if (tx.stats.max_footprint < footprint) {
@@ -99,7 +99,7 @@ uint64_t TxLoadWordAfterWrite(const std::atomic<uint64_t>* addr) {
   // segment, so a linear scan beats any hashing.
   for (uint32_t w = 0; w < tx.write_count; ++w) {
     if (tx.write_log[w].addr == addr) {
-      ++tx.stats.loads;  // counted so `loads` means "TxLoad calls" in both engines
+      ++tx.stats.loads;  // counted so `loads` means "TxLoad calls"
       return tx.write_log[w].value;
     }
   }
@@ -109,7 +109,7 @@ uint64_t TxLoadWordAfterWrite(const std::atomic<uint64_t>* addr) {
 uint64_t TxLoadWordContended(const std::atomic<uint64_t>* addr) {
   TxDesc& tx = tls_tx;
   const uint32_t stripe = StripeIndexOf(reinterpret_cast<uintptr_t>(addr));
-  ++CurrentStmCounters().orec_waits;
+  ++CurrentStmCounters().stripe_waits;
   runtime::ExponentialBackoff backoff;
   // A committer holds the line; it releases quickly unless we are preempted. Persisting
   // contention is reported as a conflict abort, as HTM would.

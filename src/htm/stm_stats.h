@@ -1,11 +1,10 @@
-// Per-transaction and per-thread STM statistics shared by both software engines.
+// Per-transaction and per-thread statistics of the software engine.
 //
-// TxStats lives inside each engine's transaction descriptor and tracks the running
+// TxStats lives inside the engine's transaction descriptor and tracks the running
 // transaction's access profile. StmTxCounters is a thread-local accumulator of
-// engine-internal events (lock waits, priority handoffs, where aborts were detected)
-// that the split engine folds into core::Stats at segment boundaries via
-// htm::ConsumeStmCounters() — the engines themselves never see core::Stats, keeping
-// the htm → runtime layering intact.
+// engine-internal events (stripe waits, where aborts were detected) that the split
+// engine folds into core::Stats at segment boundaries via htm::ConsumeStmCounters() —
+// the engine itself never sees core::Stats, keeping the htm → runtime layering intact.
 #ifndef STACKTRACK_HTM_STM_STATS_H_
 #define STACKTRACK_HTM_STM_STATS_H_
 
@@ -21,9 +20,7 @@ struct TxStats {
 
 // Engine-internal event counts since the last ConsumeStmCounters() drain.
 struct StmTxCounters {
-  uint64_t orec_waits = 0;          // spins against a held orec/stripe before resolution
-  uint64_t priority_handoffs = 0;   // conflicts resolved by the priority token (2PL):
-                                    // a younger holder was doomed in our favor
+  uint64_t stripe_waits = 0;        // spins against a held stripe before resolution
   uint64_t eager_conflict_aborts = 0;   // conflict aborts raised at the access site
   uint64_t commit_conflict_aborts = 0;  // conflict aborts raised at commit time
 };

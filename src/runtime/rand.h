@@ -30,8 +30,8 @@ class SplitMix64 {
 };
 
 // xoshiro-style xorshift128+: fast enough for one draw per simulated event.
-// Constexpr-constructible so the STM descriptors that embed one can be `constinit`
-// thread-locals (htm/soft_backend.h, htm/orec_backend.h).
+// Constexpr-constructible so the STM descriptor that embeds one can be a `constinit`
+// thread-local (htm/soft_backend.h).
 class Xorshift128 {
  public:
   explicit constexpr Xorshift128(uint64_t seed = 0x853c49e6748fea9bULL) { Seed(seed); }

@@ -42,9 +42,8 @@ enum class Event : uint16_t {
                          // aborted attempt still shows its begin. arg = split limit
   kSegmentCommit,        // final (operation-ending) commit; arg = steps executed
   kSegmentAbort,         // transactional abort; arg = htm::AbortCause code:
-                         // 1 conflict, 2 capacity, 3 explicit, 4 other, and the
-                         // 2PL engine's refinements 5 conflict_reader /
-                         // 6 conflict_writer (htm::AbortCauseName decodes them)
+                         // 1 conflict, 2 capacity, 3 explicit, 4 other
+                         // (htm::AbortCauseName decodes them)
   kCheckpointSplit,      // mid-operation commit at a checkpoint; arg = steps executed
   kPredictorGrow,        // per-(op,segment) limit grew; arg packs the new limit, the
                          // cell coordinates and the driving CauseFamily — see
@@ -59,9 +58,6 @@ enum class Event : uint16_t {
   kBackpressureRaise,    // scan threshold doubled; arg = new threshold
   kBackpressureSpill,    // survivors handed to DeferredFreeList; arg = accepted count
   kWatchdogReport,       // thread newly flagged as stalled; arg = its tid
-  kServiceHandoff,       // reclaimer drained a hand-off ring batch; arg = batch count
-  kServiceSteal,         // reclaimer drained a ring outside its shards; arg = ring tid
-  kServiceFailover,      // stalled/dead reclaimer failed over; arg = reclaimer index
   kGuardSlotOverflow,    // hazard slot index out of range; arg = bad index
   kCount,
 };
@@ -82,9 +78,6 @@ constexpr const char* EventName(Event e) {
     case Event::kBackpressureRaise: return "backpressure_raise";
     case Event::kBackpressureSpill: return "backpressure_spill";
     case Event::kWatchdogReport: return "watchdog_report";
-    case Event::kServiceHandoff: return "service_handoff";
-    case Event::kServiceSteal: return "service_steal";
-    case Event::kServiceFailover: return "service_failover";
     case Event::kGuardSlotOverflow: return "guard_slot_overflow";
     case Event::kCount: break;
   }

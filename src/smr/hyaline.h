@@ -34,8 +34,9 @@
 //  * A thread KILLED inside an operation never drops its references: batches inserted
 //    from that point on leak. This is the documented gap between plain Hyaline and
 //    the birth-era variant (Hyaline-S), and it is the contrast that motivates
-//    StackTrack's scan-based verdicts — the StackTrack service reclaims past a dead
-//    thread because liveness is derived from the victim's stack, not its cooperation.
+//    StackTrack's scan-based verdicts — StackTrack's inline rounds reclaim past a
+//    dead thread because liveness is derived from the victim's stack, not its
+//    cooperation.
 #ifndef STACKTRACK_SMR_HYALINE_H_
 #define STACKTRACK_SMR_HYALINE_H_
 

@@ -123,17 +123,11 @@ inline bool KnownScheme(std::string_view name) {
   return known;
 }
 
-// `extra` lists bench-local pseudo-schemes (e.g. robustness_lag's
-// "stacktrack-service" service variant) accepted alongside registry names.
-inline void PrintSchemeHelp(std::FILE* out,
-                            const std::vector<std::string>& extra = {}) {
+inline void PrintSchemeHelp(std::FILE* out) {
   std::fprintf(out, "registered schemes (--scheme=NAME, comma lists, or all):\n");
   ForEachSchemeInfo([&](const SchemeInfo& info) {
     std::fprintf(out, "  %-12s %s\n", info.name, info.summary);
   });
-  for (const std::string& name : extra) {
-    std::fprintf(out, "  %-12s (bench-specific variant)\n", name.c_str());
-  }
 }
 
 // ST_SCHEME picks the default selection for benches whose command line did not.
@@ -146,15 +140,14 @@ inline const char* SchemeEnvDefault(const char* fallback) {
 //   "all"          -> `all_names` (a bench's historical column set, or every
 //                     registered scheme)
 //   "help"         -> prints the registry to stdout, returns false (caller exits 0)
-//   "a,b,c" / "a"  -> the listed names, each validated against the registry plus
-//                     `extra`; unknown names print the registry to stderr and fail
+//   "a,b,c" / "a"  -> the listed names, each validated against the registry;
+//                     unknown names print the registry to stderr and fail
 inline bool ResolveSchemeSelection(std::string_view selection,
                                    const std::vector<std::string>& all_names,
-                                   std::vector<std::string>* out,
-                                   const std::vector<std::string>& extra = {}) {
+                                   std::vector<std::string>* out) {
   out->clear();
   if (selection == "help") {
-    PrintSchemeHelp(stdout, extra);
+    PrintSchemeHelp(stdout);
     return false;
   }
   if (selection == "all") {
@@ -170,14 +163,10 @@ inline bool ResolveSchemeSelection(std::string_view selection,
     if (name.empty()) {
       continue;
     }
-    bool ok = KnownScheme(name);
-    for (const std::string& e : extra) {
-      ok |= (name == e);
-    }
-    if (!ok) {
+    if (!KnownScheme(name)) {
       std::fprintf(stderr, "unknown scheme: %.*s\n", static_cast<int>(name.size()),
                    name.data());
-      PrintSchemeHelp(stderr, extra);
+      PrintSchemeHelp(stderr);
       return false;
     }
     out->emplace_back(name);

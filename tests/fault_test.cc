@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "runtime/fault.h"
 #include "runtime/pool_alloc.h"
 #include "runtime/preempt.h"
+#include "runtime/trace.h"
 #include "smr/leaky.h"
 #include "smr/stacktrack_smr.h"
 
@@ -281,23 +283,29 @@ TEST_F(FaultTest, BackPressureSpillsToDeferredAndDrainsAfterFault) {
 }
 
 // The watchdog flags a thread that sits mid-operation (op_active set) with a frozen
-// oper_counter for watchdog_rounds consecutive scans, and clears it on progress.
+// oper_counter for watchdog_deadline_ns, and clears it on progress.
 TEST_F(FaultTest, WatchdogFlagsAndClearsStalledThread) {
   runtime::ThreadScope scope;
   core::StConfig config;
-  config.watchdog_rounds = 3;
+  config.watchdog_deadline_ns = 1'000'000;
+  const auto past_deadline = std::chrono::nanoseconds(2 * config.watchdog_deadline_ns);
   smr::StackTrackSmr::Domain domain(config);
   core::StContext& reclaimer = domain.AcquireHandle();
   constexpr uint32_t kVictimTid = 41;
   core::StContext victim(kVictimTid, config);
   victim.op_active.store(1, std::memory_order_release);  // frozen mid-operation
 
+  // Rounds that first see a stalled thread, then see it again past the deadline.
+  auto rounds_spanning_deadline = [&] {
+    core::ScanAndFree(reclaimer);
+    std::this_thread::sleep_for(past_deadline);
+    core::ScanAndFree(reclaimer);
+  };
+
   // The watchdog only walks tids below the registry watermark; a synthetic context
   // above it needs real registered threads to raise the watermark. Simpler: drive
   // the rounds and query the mask for a real-tid context instead.
-  for (uint32_t i = 0; i < config.watchdog_rounds + 2; ++i) {
-    core::ScanAndFree(reclaimer);
-  }
+  rounds_spanning_deadline();
   // kVictimTid is above the watermark, so it must NOT be reported...
   EXPECT_EQ(core::StalledThreadMask() & (uint64_t{1} << kVictimTid), 0u);
 
@@ -319,9 +327,7 @@ TEST_F(FaultTest, WatchdogFlagsAndClearsStalledThread) {
     sched_yield();
   }
   const uint64_t reports_before = reclaimer.stats.watchdog_reports;
-  for (uint32_t i = 0; i < config.watchdog_rounds + 2; ++i) {
-    core::ScanAndFree(reclaimer);
-  }
+  rounds_spanning_deadline();
   const uint64_t bit = uint64_t{1} << victim_tid.load(std::memory_order_acquire);
   EXPECT_NE(core::StalledThreadMask() & bit, 0u);
   EXPECT_GT(reclaimer.stats.watchdog_reports, reports_before);
@@ -330,6 +336,44 @@ TEST_F(FaultTest, WatchdogFlagsAndClearsStalledThread) {
   stalled.join();
   core::ScanAndFree(reclaimer);  // one more round observes op_active == 0
   EXPECT_EQ(core::StalledThreadMask() & bit, 0u);
+}
+
+// An ordinary operation can span many rounds: every thread runs one per max_free
+// retires. Under the default deadline, a registered thread held inside one operation
+// while 32 back-to-back rounds run (far quicker than the deadline) is not reported.
+TEST_F(FaultTest, WatchdogIgnoresShortOperationsAcrossManyRounds) {
+  runtime::ThreadScope scope;
+  smr::StackTrackSmr::Domain domain;
+  core::StContext& reclaimer = domain.AcquireHandle();
+  std::atomic<bool> hold{true};
+  std::atomic<uint32_t> worker_tid{runtime::kInvalidThreadId};
+  std::thread worker([&] {
+    runtime::ThreadScope inner;
+    core::StContext& ctx = domain.AcquireHandle();
+    ctx.op_active.store(1, std::memory_order_release);  // inside one operation
+    worker_tid.store(inner.tid(), std::memory_order_release);
+    while (hold.load(std::memory_order_acquire)) {
+      sched_yield();
+    }
+    ctx.op_active.store(0, std::memory_order_release);
+  });
+  while (worker_tid.load(std::memory_order_acquire) == runtime::kInvalidThreadId) {
+    sched_yield();
+  }
+  const uint64_t reports_before = reclaimer.stats.watchdog_reports;
+  const uint64_t start_ns = runtime::trace::NowNanos();
+  for (int i = 0; i < 32; ++i) {
+    core::ScanAndFree(reclaimer);
+  }
+  const uint64_t elapsed_ns = runtime::trace::NowNanos() - start_ns;
+  hold.store(false, std::memory_order_release);
+  worker.join();
+  ASSERT_LT(elapsed_ns, reclaimer.config().watchdog_deadline_ns)
+      << "the host stalled the rounds past the deadline itself";
+  EXPECT_EQ(reclaimer.stats.watchdog_reports, reports_before);
+  EXPECT_EQ(core::StalledThreadMask() &
+                (uint64_t{1} << worker_tid.load(std::memory_order_acquire)),
+            0u);
 }
 
 // Candidates parked on the deferred list (a back-pressure spill or an exiting
@@ -480,7 +524,7 @@ TEST_F(FaultTest, StalledThreadWorkloadStaysBoundedAndDrains) {
     config.max_free = 8;
     config.inspect_retry_cap = 4;
     config.free_highwater_mult = 4;  // high water = 32
-    config.watchdog_rounds = 4;
+    config.watchdog_deadline_ns = 1'000'000;
     smr::StackTrackSmr::Domain domain(config);
     ds::LockFreeList<smr::StackTrackSmr> list;
 
@@ -528,6 +572,14 @@ TEST_F(FaultTest, StalledThreadWorkloadStaysBoundedAndDrains) {
     for (auto& t : workers) {
       t.join();  // completion itself is the liveness property under a stalled peer
     }
+    // The workers' rounds saw the victim in flight; one more round past the
+    // deadline must report it, however quickly the churn finished.
+    std::this_thread::sleep_for(
+        std::chrono::nanoseconds(2 * config.watchdog_deadline_ns));
+    std::thread([&] {
+      runtime::ThreadScope inner;
+      core::WatchdogTick(domain.AcquireHandle());
+    }).join();
     for (int w = 0; w < kWorkers; ++w) {
       EXPECT_LE(peaks[w], high_water + config.max_free)
           << "worker " << w << " free set exceeded the documented bound";

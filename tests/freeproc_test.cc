@@ -163,17 +163,11 @@ TEST_F(FreeProcTest, FreedMemoryIsQuarantinedBeforeReuse) {
   auto& pool = runtime::PoolAllocator::Instance();
   void* node = pool.Alloc(64);
   const uint64_t stripe_before = htm::soft::StripeValueOf(node);
-  const uint64_t orec_before = htm::orec::WriterWordOf(node);
   reclaimer.MutableFreeSet().push_back(node);
   ScanAndFree(reclaimer);
   EXPECT_FALSE(pool.OwnsLive(node));
-  // The engine's version advanced — lazy bumps the stripe, 2pl the orec release
-  // sequence — so any in-flight reader of the node aborts.
-  if (htm::ActiveStmEngine() == htm::StmEngine::kOrec) {
-    EXPECT_NE(htm::orec::WriterWordOf(node), orec_before);
-  } else {
-    EXPECT_NE(htm::soft::StripeValueOf(node), stripe_before);
-  }
+  // The node's stripe version advanced, so any in-flight reader of the node aborts.
+  EXPECT_NE(htm::soft::StripeValueOf(node), stripe_before);
 }
 
 // The max_free-th Free runs one round over the batch. With one registered peer, the

@@ -124,26 +124,15 @@ TEST_F(PredictorTest, CapacityAbortsShrinkMultiplicatively) {
   EXPECT_EQ(ctx.stats.aborts_capacity, 1u);
 }
 
-TEST_F(PredictorTest, ConflictFamilyShrinksGentlyIncludingTwoPlRefinements) {
+TEST_F(PredictorTest, ConflictAbortsShrinkGently) {
   SelectPredictor(PredictorKind::kCost);
-  const htm::AbortCause causes[] = {htm::AbortCause::kConflict,
-                                    htm::AbortCause::kConflictReader,
-                                    htm::AbortCause::kConflictWriter};
-  uint32_t op_id = 1;
   smr::StackTrackSmr::Domain domain(CostConfig(40));
   StContext& ctx = domain.AcquireHandle();
-  for (htm::AbortCause cause : causes) {
-    // Two conflict-family aborts cross the 7000 band exactly once -> one gentle
-    // -1 step, regardless of which conflict refinement the engine reported.
-    RunOp(ctx, op_id, 1, 2, cause);
-    EXPECT_EQ(ctx.predictor_limit(op_id, 0), 39u)
-        << htm::AbortCauseName(cause);
-    ++op_id;
-  }
-  EXPECT_EQ(ctx.stats.aborts_conflict, 6u);
-  EXPECT_EQ(ctx.stats.aborts_conflict_reader, 2u);
-  EXPECT_EQ(ctx.stats.aborts_conflict_writer, 2u);
-  EXPECT_EQ(ctx.stats.predictor_decreases, 3u);
+  // Two conflict aborts cross the 7000 band exactly once -> one gentle -1 step.
+  RunOp(ctx, 1, 1, 2, htm::AbortCause::kConflict);
+  EXPECT_EQ(ctx.predictor_limit(1, 0), 39u);
+  EXPECT_EQ(ctx.stats.aborts_conflict, 2u);
+  EXPECT_EQ(ctx.stats.predictor_decreases, 1u);
 }
 
 TEST_F(PredictorTest, ConflictPressureRecoversFast) {

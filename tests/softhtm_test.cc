@@ -17,12 +17,9 @@ namespace {
 class SoftHtmTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // This suite asserts the lazy engine's specific semantics (write buffering,
-    // commit-time validation, the stripe clock); the engine-agnostic contract lives
-    // in stm_contract_test.cc. Pin lazy even when the suite runs with ST_STM=2pl.
-    previous_engine_ = ActiveStmEngine();
-    SelectStmEngine(StmEngine::kLazy);
-    // Generous budget so tests control capacity explicitly.
+    // This suite asserts the engine's own semantics (write buffering, commit-time
+    // validation, the stripe clock); the contract the split engine relies on lives
+    // in stm_contract_test.cc. Generous budget so tests control capacity explicitly.
     runtime::MachineConfig config;
     config.base_capacity_lines = 1000;
     config.smt_capacity_lines = 1000;
@@ -30,10 +27,8 @@ class SoftHtmTest : public ::testing::Test {
   }
   void TearDown() override {
     runtime::MachineModel::Instance().Configure(runtime::MachineConfig{});
-    SelectStmEngine(previous_engine_);
   }
   runtime::ThreadScope scope_;
-  StmEngine previous_engine_ = StmEngine::kLazy;
 };
 
 TEST_F(SoftHtmTest, CommitPublishesBufferedWrites) {
@@ -53,7 +48,7 @@ TEST_F(SoftHtmTest, CommitPublishesBufferedWrites) {
 
 TEST_F(SoftHtmTest, ReadOwnWrites) {
   std::atomic<uint64_t> a{5};
-  const TxStats stats_before = StmStats();
+  const TxStats stats_before = soft::CurrentTx().stats;
   const int rc = ST_HTM_BEGIN_POINT();
   ASSERT_EQ(rc, kTxStarted);
   EXPECT_EQ(TxLoad(a), 5u);
@@ -65,7 +60,7 @@ TEST_F(SoftHtmTest, ReadOwnWrites) {
   EXPECT_EQ(a.load(), 7u);
   // The per-thread footprint stats actually tick: three loads (including the
   // buffered-value hits), two stores, and a nonzero high-water footprint.
-  const TxStats& stats = StmStats();
+  const TxStats& stats = soft::CurrentTx().stats;
   EXPECT_EQ(stats.loads, stats_before.loads + 3);
   EXPECT_EQ(stats.stores, stats_before.stores + 2);
   EXPECT_GT(stats.max_footprint, 0u);

@@ -1,10 +1,12 @@
-// The StackTrack STM contract, asserted against BOTH software engines (lazy
-// validation and eager 2PL) through one value-parametrized suite: atomicity and
-// read-own-writes, the capacity cliff at the MachineModel budget, QuarantineRange
-// aborting in-flight readers, interop (SafeCas/SafeStore/SafeLoad) vs transactional
-// stores, spurious- and fault-injected aborts, and abort causes surfacing through
-// trace records. Everything here is what core/split_engine.h depends on — an engine
-// that passes this suite can carry the whole scheme stack.
+// The StackTrack STM contract, asserted against the software engine through the
+// htm.h surface: atomicity and read-own-writes, the capacity cliff at the
+// MachineModel budget, QuarantineRange aborting in-flight readers, interop
+// (SafeCas/SafeStore/SafeLoad) vs transactional stores, spurious- and fault-injected
+// aborts, and abort causes surfacing through trace records. Everything here is what
+// core/split_engine.h depends on — an engine that passes this suite can carry the
+// whole scheme stack. The suite is instantiated once per software engine; the lazy
+// engine is the only one, so `Engines` has one value. Engine internals (write
+// buffering, the stripe clock) are pinned separately in softhtm_test.cc.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,8 +26,7 @@ namespace trace = runtime::trace;
 class StmContractTest : public ::testing::TestWithParam<StmEngine> {
  protected:
   void SetUp() override {
-    previous_engine_ = ActiveStmEngine();
-    SelectStmEngine(GetParam());
+    ASSERT_EQ(GetParam(), ActiveStmEngine());
     runtime::MachineConfig config;
     config.base_capacity_lines = 1000;
     config.smt_capacity_lines = 1000;
@@ -34,10 +35,9 @@ class StmContractTest : public ::testing::TestWithParam<StmEngine> {
   void TearDown() override {
     runtime::fault::DisarmAll();
     runtime::MachineModel::Instance().Configure(runtime::MachineConfig{});
-    SelectStmEngine(previous_engine_);
   }
+  static const TxStats& Stats() { return soft::CurrentTx().stats; }
   runtime::ThreadScope scope_;
-  StmEngine previous_engine_ = StmEngine::kLazy;
 };
 
 TEST_P(StmContractTest, ReadOwnWritesAndCommitPublishes) {
@@ -47,7 +47,7 @@ TEST_P(StmContractTest, ReadOwnWritesAndCommitPublishes) {
   ASSERT_EQ(rc, kTxStarted);
   EXPECT_EQ(TxLoad(a), 1u);
   TxStore(a, uint64_t{10});
-  EXPECT_EQ(TxLoad(a), 10u);  // read-own-writes, buffered or in place
+  EXPECT_EQ(TxLoad(a), 10u);  // read-own-writes from the write buffer
   TxStore(a, uint64_t{11});
   EXPECT_EQ(TxLoad(a), 11u);  // write-after-write
   TxStore(b, uint64_t{20});
@@ -69,8 +69,7 @@ TEST_P(StmContractTest, ExplicitAbortRollsBackStores) {
     TxAbort(AbortCause::kExplicit);
   }
   EXPECT_EQ(aborts, 1);
-  // The store must not have survived — dropped from the write buffer (lazy) or
-  // undone in place (2pl).
+  // The store must not have survived: it is dropped from the write buffer.
   EXPECT_EQ(word.load(), 5u);
 }
 
@@ -96,8 +95,8 @@ TEST_P(StmContractTest, CapacityCliffAtConfiguredBudget) {
     FAIL() << "transaction exceeded the capacity budget without aborting";
   }
   EXPECT_EQ(aborts, 1);
-  // Both engines count every access against the budget, so the cliff lands on the
-  // same read regardless of engine (no dependence on line→stripe/orec hashing).
+  // Every access counts against the budget, so the cliff lands on the budget's read
+  // with no dependence on line→stripe hashing.
   EXPECT_EQ(reads_done, 16);
 }
 
@@ -108,9 +107,7 @@ TEST_P(StmContractTest, QuarantineAbortsInFlightReaders) {
   const int rc = ST_HTM_BEGIN_POINT();
   if (rc != kTxStarted) {
     aborts = aborts + 1;
-    // Lazy reports plain kConflict; 2pl refines to kConflictWriter (the quarantine
-    // acts as an interop writer that doomed us). Both are conflict-family.
-    EXPECT_TRUE(IsConflictCause(static_cast<AbortCause>(rc)))
+    EXPECT_EQ(rc, static_cast<int>(AbortCause::kConflict))
         << "cause: " << AbortCauseName(static_cast<AbortCause>(rc));
   } else {
     EXPECT_EQ(TxLoad(node[0]), 7u);
@@ -121,7 +118,7 @@ TEST_P(StmContractTest, QuarantineAbortsInFlightReaders) {
   EXPECT_EQ(aborts, 1);
 }
 
-// A fresh line read after the segment's first store takes the lazy engine's
+// A fresh line read after the segment's first store takes the engine's
 // after-write path (read-own-writes scan, then the logged read) rather than the
 // inline fast path. That read must still enter the read set: quarantining its line
 // aborts the commit, and the load is counted.
@@ -131,12 +128,12 @@ TEST_P(StmContractTest, ReadAfterStoreEntersReadSet) {
   std::atomic<uint64_t>& b = lines[8];  // next cache line
   a.store(0);
   b.store(9);
-  const TxStats before = StmStats();
+  const TxStats before = Stats();
   volatile int aborts = 0;
   const int rc = ST_HTM_BEGIN_POINT();
   if (rc != kTxStarted) {
     aborts = aborts + 1;
-    EXPECT_TRUE(IsConflictCause(static_cast<AbortCause>(rc)))
+    EXPECT_EQ(rc, static_cast<int>(AbortCause::kConflict))
         << "cause: " << AbortCauseName(static_cast<AbortCause>(rc));
   } else {
     TxStore(a, uint64_t{1});
@@ -146,7 +143,7 @@ TEST_P(StmContractTest, ReadAfterStoreEntersReadSet) {
     FAIL() << "commit survived quarantine of a line read after a store";
   }
   EXPECT_EQ(aborts, 1);
-  EXPECT_EQ(StmStats().loads, before.loads + 1);
+  EXPECT_EQ(Stats().loads, before.loads + 1);
   EXPECT_EQ(a.load(), 0u);  // the aborted store never published
 }
 
@@ -177,8 +174,8 @@ TEST_P(StmContractTest, SpuriousAbortInjection) {
 
 TEST_P(StmContractTest, FaultInjectedAbortAtBeginPoint) {
   // The kSoftTxAbort site fires once on the first begin with an explicit payload
-  // cause; the retry must then start cleanly. Exercises the fault plumbing under
-  // both engines (this suite carries the `fault` label for the tsan-fault preset).
+  // cause; the retry must then start cleanly. Exercises the fault plumbing (this
+  // suite carries the `fault` label for the tsan-fault preset).
   runtime::fault::ArmNthVisit(runtime::fault::Site::kSoftTxAbort, 1, 0,
                               static_cast<uint32_t>(AbortCause::kExplicit));
   volatile int aborts = 0;
@@ -202,14 +199,14 @@ TEST_P(StmContractTest, FaultInjectedAbortAtBeginPoint) {
 TEST_P(StmContractTest, TxStatsCountLoadsStoresAndFootprint) {
   std::atomic<uint64_t> a{1};
   std::atomic<uint64_t> b{2};
-  const TxStats before = StmStats();
+  const TxStats before = Stats();
   const int rc = ST_HTM_BEGIN_POINT();
   ASSERT_EQ(rc, kTxStarted);
   TxLoad(a);
   TxLoad(b);
   TxStore(b, uint64_t{3});
   TxCommit();
-  const TxStats& after = StmStats();
+  const TxStats& after = Stats();
   EXPECT_EQ(after.loads, before.loads + 2);
   EXPECT_EQ(after.stores, before.stores + 1);
   EXPECT_GT(after.max_footprint, 0u);
@@ -317,87 +314,18 @@ TEST_P(StmContractTest, AbortCauseSurfacesInTraceRecords) {
   bool found = false;
   for (const trace::MergedRecord& record : trace::CollectMerged()) {
     if (record.event == trace::Event::kSegmentAbort &&
-        IsConflictCause(static_cast<AbortCause>(record.arg))) {
+        record.arg == static_cast<uint64_t>(AbortCause::kConflict)) {
       found = true;
     }
   }
   EXPECT_EQ(aborts, 1);
-  EXPECT_TRUE(found) << "no conflict-family segment_abort record collected";
+  EXPECT_TRUE(found) << "no conflict segment_abort record collected";
   trace::ResetAll();
 }
 #endif  // STACKTRACK_TRACE_ENABLED
 
-INSTANTIATE_TEST_SUITE_P(Engines, StmContractTest,
-                         ::testing::Values(StmEngine::kLazy, StmEngine::kOrec),
-                         [](const ::testing::TestParamInfo<StmEngine>& info) {
-                           return info.param == StmEngine::kLazy ? "lazy" : "2pl";
-                         });
-
-// 2PL-specific mechanics not shared with the lazy engine.
-class OrecEngineTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    previous_engine_ = ActiveStmEngine();
-    SelectStmEngine(StmEngine::kOrec);
-    runtime::MachineConfig config;
-    config.base_capacity_lines = 1000;
-    config.smt_capacity_lines = 1000;
-    runtime::MachineModel::Instance().Configure(config);
-  }
-  void TearDown() override {
-    runtime::MachineModel::Instance().Configure(runtime::MachineConfig{});
-    SelectStmEngine(previous_engine_);
-  }
-  runtime::ThreadScope scope_;
-  StmEngine previous_engine_ = StmEngine::kLazy;
-};
-
-TEST_F(OrecEngineTest, WriterWordEncodingRoundTrips) {
-  const uint64_t w = orec::LockWord(5 + 1, 42);
-  EXPECT_TRUE(orec::WordLocked(w));
-  EXPECT_EQ(orec::OwnerFieldOf(w), 6u);
-  EXPECT_EQ(orec::OwnerTokenOf(w), 42u);
-  const uint64_t unlocked = 7u << 1;
-  EXPECT_FALSE(orec::WordLocked(unlocked));
-  EXPECT_EQ(orec::ReleasedWord(unlocked), 8u << 1);  // release bumps the sequence
-}
-
-TEST_F(OrecEngineTest, QuarantineRefinesCauseToConflictWriter) {
-  alignas(64) static std::atomic<uint64_t> node[8];
-  node[0].store(7);
-  volatile int aborts = 0;
-  const int rc = ST_HTM_BEGIN_POINT();
-  if (rc != kTxStarted) {
-    aborts = aborts + 1;
-    EXPECT_EQ(rc, static_cast<int>(AbortCause::kConflictWriter));
-  } else {
-    EXPECT_EQ(TxLoad(node[0]), 7u);
-    EXPECT_TRUE(orec::ReadSlotHeld(runtime::CurrentThreadId(), &node[0]));
-    QuarantineRange(&node[0], sizeof(node));
-    TxCommit();
-    FAIL() << "doomed transaction committed";
-  }
-  EXPECT_EQ(aborts, 1);
-  // The abort released the read slot.
-  EXPECT_FALSE(orec::ReadSlotHeld(runtime::CurrentThreadId(), &node[0]));
-}
-
-TEST_F(OrecEngineTest, EagerWritesAreInPlaceAndUndoneOnAbort) {
-  std::atomic<uint64_t> word{5};
-  volatile int aborts = 0;
-  const int rc = ST_HTM_BEGIN_POINT();
-  if (rc != kTxStarted) {
-    aborts = aborts + 1;
-  } else {
-    TxStore(word, uint64_t{50});
-    // Eager 2PL writes land in place immediately (the write lock isolates them) —
-    // the opposite of the lazy engine's buffering, and why commit needs no publish.
-    EXPECT_EQ(word.load(std::memory_order_relaxed), 50u);
-    TxAbort(AbortCause::kExplicit);
-  }
-  EXPECT_EQ(aborts, 1);
-  EXPECT_EQ(word.load(), 5u);  // undo log restored the pre-transaction value
-}
+INSTANTIATE_TEST_SUITE_P(Engines, StmContractTest, ::testing::Values(StmEngine::kLazy),
+                         [](const ::testing::TestParamInfo<StmEngine>&) { return "lazy"; });
 
 }  // namespace
 }  // namespace stacktrack::htm

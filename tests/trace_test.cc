@@ -229,34 +229,6 @@ TEST(TraceExportTest, TraceJsonRoundTripsThroughMinijson) {
   }
 }
 
-// The reclamation-service events ride the same ring and exporter as the engine
-// events; their names must survive the JSON round trip (the CI robustness job greps
-// for them in trace dumps).
-TEST(TraceExportTest, ServiceEventsRoundTripThroughMinijson) {
-  runtime::ThreadScope scope;
-  ArmedScope armed;
-  trace::Emit(trace::Event::kServiceHandoff, 64);
-  trace::Emit(trace::Event::kServiceSteal, 32);
-  trace::Emit(trace::Event::kServiceFailover, 1);
-  trace::Arm(false);
-
-  const auto merged = trace::CollectMerged();
-  ASSERT_EQ(merged.size(), 3u);
-  const std::string json = core::TraceToJson(merged, trace::TotalDropped());
-
-  core::minijson::Value root;
-  ASSERT_TRUE(core::minijson::Parse(json, &root));
-  const auto* records = root.Find("records");
-  ASSERT_NE(records, nullptr);
-  ASSERT_EQ(records->array.size(), 3u);
-  EXPECT_EQ(records->array[0].Find("event")->string, "service_handoff");
-  EXPECT_EQ(records->array[0].Find("arg")->AsU64(), 64u);
-  EXPECT_EQ(records->array[1].Find("event")->string, "service_steal");
-  EXPECT_EQ(records->array[1].Find("arg")->AsU64(), 32u);
-  EXPECT_EQ(records->array[2].Find("event")->string, "service_failover");
-  EXPECT_EQ(records->array[2].Find("arg")->AsU64(), 1u);
-}
-
 #endif  // STACKTRACK_TRACE_ENABLED
 
 TEST(StatsExportTest, JsonRoundTripPreservesEveryCounter) {

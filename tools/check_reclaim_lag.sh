@@ -1,17 +1,20 @@
 #!/usr/bin/env bash
 # Enforces the bounded-garbage contract (DESIGN.md §5c): under an injected thread
 # stall and thread death, reclamation lag for the robust schemes must return below a
-# fixed ceiling once the fault clears, and the service's in-flight backlog must stay
-# bounded throughout. The inline StackTrack baseline is printed ungated for context,
-# as is the free() hot-path comparison.
+# fixed ceiling once the fault clears, and inline StackTrack's lag must stay within
+# its documented free-set bound throughout.
 #
 # Usage: tools/check_reclaim_lag.sh [binary]
 #   binary  path to robustness_lag (default build/bench/robustness_lag; built via the
 #           `default` preset when missing)
 #
 # Gates (hard, exit non-zero on violation):
-#   * every scheme, every scenario: final_lag <= FINAL_CEILING  (garbage drains)
-#   * stacktrack-service:           max_lag   <= SERVICE_MAX_CEILING  (backlog bounded)
+#   * every scheme, every scenario: final_lag <= FINAL_CEILING        (garbage drains)
+#   * stacktrack:                   max_lag   <= STACKTRACK_MAX_CEILING (bounded peak)
+# STACKTRACK_MAX_CEILING is the documented bound threads x (free_highwater_mult + 1)
+# x max_free at the default StConfig: each thread's free set stays below the
+# back-pressure high water plus one batch. Candidates spilled to the global deferred
+# list count toward the lag too, so a run that spills past the bound fails the gate.
 # hyaline's max_lag is reported but ungated: on an oversubscribed host its peak is
 # dominated by genuine OS-preemption transients (see BENCH_robustness.json).
 set -euo pipefail
@@ -19,8 +22,11 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BIN="${1:-build/bench/robustness_lag}"
+THREADS=4
+MAX_FREE=32             # StConfig::max_free default
+FREE_HIGHWATER_MULT=4   # StConfig::free_highwater_mult default
 FINAL_CEILING=256
-SERVICE_MAX_CEILING=4096
+STACKTRACK_MAX_CEILING=$(( THREADS * (FREE_HIGHWATER_MULT + 1) * MAX_FREE ))
 
 if [[ ! -x "$BIN" ]]; then
   echo "== building $BIN (default preset) =="
@@ -34,7 +40,7 @@ check_scenario() {
   local scenario="$1"
   echo "== scenario: $scenario =="
   local out
-  out="$("$BIN" --scenario="$scenario" --smoke --json)"
+  out="$("$BIN" --scenario="$scenario" --threads="$THREADS" --smoke --json)"
   echo "$out"
   while IFS= read -r line; do
     local scheme max_lag final_lag
@@ -46,8 +52,8 @@ check_scenario() {
       echo "FAIL: $scheme/$scenario final_lag=$final_lag exceeds ceiling $FINAL_CEILING"
       fail=1
     fi
-    if [[ "$scheme" == "stacktrack-service" ]] && (( max_lag > SERVICE_MAX_CEILING )); then
-      echo "FAIL: $scheme/$scenario max_lag=$max_lag exceeds ceiling $SERVICE_MAX_CEILING"
+    if [[ "$scheme" == "stacktrack" ]] && (( max_lag > STACKTRACK_MAX_CEILING )); then
+      echo "FAIL: $scheme/$scenario max_lag=$max_lag exceeds ceiling $STACKTRACK_MAX_CEILING"
       fail=1
     fi
   done <<<"$out"
@@ -56,11 +62,8 @@ check_scenario() {
 check_scenario stall
 check_scenario death
 
-echo "== free() hot path (informative) =="
-"$BIN" --freepath --smoke
-
 if (( fail )); then
   echo "FAIL: bounded-garbage gate violated"
   exit 1
 fi
-echo "OK: reclamation lag within ceilings (final<=$FINAL_CEILING, service max<=$SERVICE_MAX_CEILING)"
+echo "OK: reclamation lag within ceilings (final<=$FINAL_CEILING, stacktrack max<=$STACKTRACK_MAX_CEILING)"
