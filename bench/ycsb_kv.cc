@@ -20,19 +20,14 @@
 // (see runner.h) into per-thread log-bucketed histograms; the report carries
 // p50/p99/p999 per op kind.
 //
-// Every scheme in smr/registry.h is runnable by name (--scheme=help lists them) —
-// and the StackTrack runs compose with both split predictors
-// (ST_PREDICTOR=streak|cost) and the warm-start tables
-// (ST_PREDICTOR_WARM=bench/warm/<preset>.json). Every StackTrack round runs inline on
-// the retiring thread.
+// Every scheme in smr/registry.h is runnable by name (--scheme=help lists them).
+// Every StackTrack round runs inline on the retiring thread.
 //
 // Usage: ycsb_kv [--preset=a|b|c|all] [--scheme=NAME|all] [--threads=N] [--ms=N]
 //                [--keys=N] [--shards=N] [--theta=F] [--scans] [--ramp=MS]
-//                [--json] [--smoke] [--dump-predictor=FILE] [--trace-out=FILE]
+//                [--json] [--smoke] [--trace-out=FILE]
 //   --json            one JSON object per (scheme, preset) run, with latency
 //                     percentiles per op kind and the Stats-counter delta
-//   --dump-predictor  after a stacktrack run, write the predictor table JSON
-//                     (feed it to tools/predictor_tune to mint a warm-start table)
 //   --trace-out       write the merged event trace JSON (requires ST_TRACE_ARM)
 // Environment: ST_BENCH_MS / ST_BENCH_THREADS / ST_BENCH_SEED / ST_TRACE_ARM via
 // workload::EnvConfig (--threads/--ms override; ST_BENCH_THREADS uses its first
@@ -143,8 +138,7 @@ struct Options {
   uint32_t ramp_step_ms = 0;
   bool json = false;
   bool smoke = false;
-  std::string dump_predictor;  // path for the predictor-table JSON (stacktrack runs)
-  std::string trace_out;       // path for the merged trace JSON (armed runs)
+  std::string trace_out;  // path for the merged trace JSON (armed runs)
 };
 
 template <typename Smr>
@@ -212,15 +206,13 @@ void PrintResult(const Options& opt, const char* scheme,
     latency += "}";
     std::printf(
         "{\"bench\":\"ycsb_kv\",\"scheme\":\"%s\",\"preset\":\"%s\","
-        "\"threads\":%u,\"ms\":%u,\"keys\":%llu,\"theta\":%.2f,"
-        "\"predictor\":\"%s\",\"warm_seeds\":%zu,\"ops\":%llu,"
+        "\"threads\":%u,\"ms\":%u,\"keys\":%llu,\"theta\":%.2f,\"ops\":%llu,"
         "\"ops_per_sec\":%.0f,\"retires\":%llu,\"frees\":%llu,\"final_lag\":%llu,"
         "\"latency_ns\":%s,\"stats\":%s,\"scheme_stats\":%s}\n",
         scheme, scenario.name.c_str(), scenario.threads, scenario.duration_ms,
         static_cast<unsigned long long>(scenario.keys.key_range),
-        scenario.keys.zipf_theta, core::PredictorName(core::ActivePredictor()),
-        core::PredictorWarmTable::Instance().CountSeeds(),
-        static_cast<unsigned long long>(result.total_ops), result.ops_per_sec,
+        scenario.keys.zipf_theta, static_cast<unsigned long long>(result.total_ops),
+        result.ops_per_sec,
         static_cast<unsigned long long>(retires),
         static_cast<unsigned long long>(frees),
         static_cast<unsigned long long>(lag), latency.c_str(),
@@ -248,16 +240,7 @@ void PrintResult(const Options& opt, const char* scheme,
   std::printf("\n");
 }
 
-void MaybeDumpSidecars(const Options& opt, bool stacktrack_run) {
-  if (!opt.dump_predictor.empty() && stacktrack_run) {
-    const std::string table = core::PredictorTableToJson();
-    if (std::FILE* f = std::fopen(opt.dump_predictor.c_str(), "w"); f != nullptr) {
-      std::fwrite(table.data(), 1, table.size(), f);
-      std::fclose(f);
-      std::fprintf(stderr, "ycsb_kv: predictor table -> %s\n",
-                   opt.dump_predictor.c_str());
-    }
-  }
+void MaybeDumpTrace(const Options& opt) {
   if (!opt.trace_out.empty()) {
     const auto records = runtime::trace::CollectMerged();
     const std::string trace = core::TraceToJson(records, runtime::trace::TotalDropped());
@@ -304,9 +287,9 @@ void RunPreset(const Options& opt, const std::vector<std::string>& schemes,
       const workload::RunResult result = RunKv<Smr>(domain, opt, scenario);
       PrintResult(opt, info.name, scenario, result,
                   workload::StatsDelta(before, domain.Snapshot()));
-      // Sidecars dump before contexts retire; the trace buffer is cumulative, so
-      // a multi-scheme --trace-out ends holding the whole run's merged trace.
-      MaybeDumpSidecars(opt, std::is_same_v<Smr, smr::StackTrackSmr>);
+      // The trace buffer is cumulative, so a multi-scheme --trace-out ends holding
+      // the whole run's merged trace.
+      MaybeDumpTrace(opt);
     });
   }
 }
@@ -338,8 +321,6 @@ int Main(int argc, char** argv) {
       opt.theta = std::atof(v);
     } else if ((v = value("--ramp=")) != nullptr) {
       opt.ramp_step_ms = static_cast<uint32_t>(std::atoi(v));
-    } else if ((v = value("--dump-predictor=")) != nullptr) {
-      opt.dump_predictor = v;
     } else if ((v = value("--trace-out=")) != nullptr) {
       opt.trace_out = v;
     } else if (arg == "--scans") {
@@ -363,10 +344,8 @@ int Main(int argc, char** argv) {
   }
   if (!opt.json) {
     std::printf("# ycsb_kv: sharded KV (shards=%u) + list index + queue handoff, "
-                "zipf theta=%.2f keys=%llu, predictor=%s\n",
-                opt.shards, opt.theta,
-                static_cast<unsigned long long>(opt.key_range),
-                core::PredictorName(core::ActivePredictor()));
+                "zipf theta=%.2f keys=%llu\n",
+                opt.shards, opt.theta, static_cast<unsigned long long>(opt.key_range));
   }
   if (opt.preset == "all") {
     RunPreset(opt, schemes, 'a');

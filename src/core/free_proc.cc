@@ -74,42 +74,51 @@ Watchdog& TheWatchdog() {
 }
 
 // The one reader of another thread's root words: one unsynchronized pass over the
-// target's exposed registers and tracked frames, handing each word to `visit`, which
-// returns true to end the pass early (a per-candidate probe found its reference).
-// Returns whether the pass ended early. Forced inline, like the protocol below, so
-// the per-candidate probe stays an early-return loop with no call per word.
-// scan_words accumulates locally and is flushed once per exit — a per-word store to
-// the (cross-thread-summed) stats block is a hot-loop write the scan can skip.
+// target's exposed registers, tracked frames and their replay snapshots, handing each
+// word to `visit`, which returns true to end the pass early (a per-candidate probe
+// found its reference). Returns whether the pass ended early. Forced inline, like the
+// protocol below, so the per-candidate probe stays an early-return loop with no call
+// per word. scan_words accumulates locally and is flushed once at the end — a per-word
+// store to the (cross-thread-summed) stats block is a hot-loop write the scan can skip.
 template <typename Visit>
 [[gnu::always_inline]] inline bool SweepRoots(StContext& reclaimer, const StContext& target,
                                               Visit&& visit) {
   uint64_t scanned = 0;
-  for (uint32_t i = 0; i < kRegisterSlots; ++i) {
-    const uintptr_t word = target.exposed_regs[i].load(std::memory_order_acquire);
-    ++scanned;
-    if (visit(word)) {
-      reclaimer.stats.scan_words += scanned;
-      return true;
+  auto sweep_words = [&scanned, &visit](uintptr_t lo, uintptr_t hi) {
+    for (uintptr_t addr = lo; addr + sizeof(uintptr_t) <= hi; addr += sizeof(uintptr_t)) {
+      ++scanned;
+      if (visit(LoadFrameWord(addr))) {
+        return true;
+      }
     }
+    return false;
+  };
+  bool found = false;
+  for (uint32_t i = 0; i < kRegisterSlots && !found; ++i) {
+    ++scanned;
+    found = visit(target.exposed_regs[i].load(std::memory_order_acquire));
   }
   const uint32_t frames = target.frame_count.load(std::memory_order_acquire);
-  for (uint32_t f = 0; f < frames && f < kMaxFrames; ++f) {
+  for (uint32_t f = 0; f < frames && f < kMaxFrames && !found; ++f) {
     const uintptr_t lo = target.frames[f].lo.load(std::memory_order_acquire);
     const uintptr_t hi = target.frames[f].hi.load(std::memory_order_acquire);
     if (lo == 0 || hi <= lo) {
       continue;
     }
-    for (uintptr_t addr = lo; addr + sizeof(uintptr_t) <= hi; addr += sizeof(uintptr_t)) {
-      const uintptr_t word = LoadFrameWord(addr);
-      ++scanned;
-      if (visit(word)) {
-        reclaimer.stats.scan_words += scanned;
-        return true;
-      }
-    }
+    // A segment that overwrote a frame word and then aborts restores the committed
+    // word from the snapshot, so the snapshot holds roots too (HTM buffers the store
+    // and needs no second pass; it is only conservative there). It is read after the
+    // frame: a word the frame pass saw overwritten was snapshotted before the
+    // overwrite, and the snapshot changes only at an arm, which re-saves the same
+    // committed words until a commit moves splits_seq.
+    const uintptr_t snapshot = reinterpret_cast<uintptr_t>(target.replay_frame(f));
+    found = sweep_words(lo, hi) ||
+            sweep_words(snapshot,
+                        snapshot + std::min<uintptr_t>(hi - lo, sizeof(uintptr_t) *
+                                                                    kMaxFrameWords));
   }
   reclaimer.stats.scan_words += scanned;
-  return false;
+  return found;
 }
 
 // How one thread inspection ended.

@@ -85,7 +85,7 @@ void VerdictShards(StContext& reclaimer, bool count_hits, LiveProbe&& live) {
       void* ptr = free_set[next];
       if (!pool.OwnsLive(ptr)) {
         // Defensive: the block was already reclaimed through another path (see the
-        // known-issue note in DESIGN.md §5); dropping it keeps frees idempotent.
+        // known-issue note in DESIGN.md §9); dropping it keeps frees idempotent.
         ++reclaimer.stats.stale_free_drops;
         continue;
       }

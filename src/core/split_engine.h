@@ -27,15 +27,13 @@
 // a guaranteed RTM abort, so aborted attempts show begin/abort pairs), the abort edge
 // is recorded at the backend's resume point with its AbortCause, slow segments yield
 // slow_path_entry, ST_CHECKPOINT's commit yields checkpoint_split plus any
-// predictor_grow/shrink (whose packed arg carries the cell coordinates and driving
-// cause family — core/predictor.h), and ST_OP_END yields segment_commit. The macros
+// predictor_grow/shrink (whose packed arg carries the new limit and the cell
+// coordinates — core/predictor.h), and ST_OP_END yields segment_commit. The macros
 // themselves contain no emit calls; the events fire inside the StContext/backends so
 // the expansion stays minimal.
 //
-// The per-segment length budget these macros consume is owned by the predictor policy
-// selected at static init (ST_PREDICTOR=streak|cost, core/predictor.h): the macros
-// and the instrumented operations are policy-agnostic — only the CommitSegment /
-// SegmentAborted decision paths differ.
+// The per-segment length budget these macros consume comes from the §5.3 streak
+// predictor, which CommitSegment and SegmentAborted update (DESIGN.md §5e).
 #ifndef STACKTRACK_CORE_SPLIT_ENGINE_H_
 #define STACKTRACK_CORE_SPLIT_ENGINE_H_
 

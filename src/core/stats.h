@@ -31,11 +31,9 @@ namespace stacktrack::core {
   X(stm_stripe_waits)                                                                     \
   X(stm_eager_conflict_aborts)                                                            \
   X(stm_commit_conflict_aborts)                                                           \
-  /* Split-length predictor activity (both policies; see core/predictor.h). */            \
+  /* Split-length predictor moves (the §5.3 streak rule; see core/predictor.h). */        \
   X(predictor_increases)                                                                  \
   X(predictor_decreases)                                                                  \
-  X(predictor_warm_seeds)       /* cells seeded from the shared warm table */             \
-  X(predictor_warm_publishes)   /* learned cells folded back into the table */            \
   /* Reclamation. */                                                                      \
   X(retires)                                                                              \
   X(frees)                                                                                \

@@ -4,8 +4,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include <mutex>
-
 #include "core/free_proc.h"
 #include "core/predictor.h"
 #include "core/reclaim_engine.h"
@@ -93,30 +91,6 @@ void ReapContextOnThreadExit(uint32_t tid) {
   StContext* ctx = ActivityArray::Instance().Get(tid);
   if (ctx != nullptr) {
     ctx->HandOffFreeSet();
-    // The context object survives (the SMR domain owns it), but its thread is gone:
-    // fold what it learned into the shared warm table so the tid's successor inherits.
-    ctx->PublishPredictorTable();
-  }
-}
-
-// StConfig::warm_start_path loader, once per distinct path: every context of a domain
-// carries the same config, and re-parsing the table per thread would be waste.
-void MaybeLoadWarmStart(const std::string& path) {
-  if (path.empty()) {
-    return;
-  }
-  static std::mutex mutex;
-  static std::string loaded_path;
-  std::lock_guard<std::mutex> lock(mutex);
-  if (path == loaded_path && PredictorWarmTable::Instance().loaded()) {
-    return;
-  }
-  std::string error;
-  if (PredictorWarmTable::Instance().LoadFromFile(path, &error)) {
-    loaded_path = path;
-  } else {
-    std::fprintf(stderr, "stacktrack: warm_start_path %s failed to load: %s\n",
-                 path.c_str(), error.c_str());
   }
 }
 
@@ -127,14 +101,12 @@ StContext::StContext(uint32_t tid, const StConfig& config)
   tx_retire_.reserve(64);
   free_set_.reserve(config.max_free * 2 + 16);
   scan_threshold_ = config_.max_free;
-  MaybeLoadWarmStart(config_.warm_start_path);
   StatsRegistry::Instance().Register(&stats);
   ActivityArray::Instance().Set(tid_, this);
   runtime::ThreadRegistry::Instance().AddExitHook(&ReapContextOnThreadExit);
 }
 
 StContext::~StContext() {
-  PublishPredictorTable();
   ActivityArray::Instance().Set(tid_, nullptr);
   // Drain what liveness allows; survivors go to the deferred list for other threads
   // to reclaim (the seed leaked them, matching the paper's crashed-thread caveat).
@@ -169,42 +141,8 @@ StContext::PredictorCell& StContext::CurrentCell() {
   if (cell.inited == 0) [[unlikely]] {
     cell.inited = 1;
     cell.limit = static_cast<uint16_t>(config_.initial_split_limit);
-    // Warm start: inherit a seed published by an earlier context or loaded from a
-    // tuned table. Seed() is one relaxed load when the table is empty, so the streak
-    // default pays nothing here.
-    if (uint16_t seed = PredictorWarmTable::Instance().Seed(op_id_, segment_index_);
-        seed != 0) {
-      uint32_t clamped = seed;
-      if (clamped < config_.min_split_limit) {
-        clamped = config_.min_split_limit;
-      } else if (clamped > config_.max_split_limit) {
-        clamped = config_.max_split_limit;
-      }
-      if (clamped != 0) {
-        cell.limit = static_cast<uint16_t>(clamped);
-        ++stats.predictor_warm_seeds;
-      }
-    }
   }
   return cell;
-}
-
-void StContext::PublishPredictorTable() {
-  // Online inheritance is a cost-model feature; the streak predictor must stay
-  // byte-for-byte the paper's per-thread behavior.
-  if (ActivePredictorFast() != PredictorKind::kCost) {
-    return;
-  }
-  PredictorWarmTable& table = PredictorWarmTable::Instance();
-  for (uint32_t op = 0; op < kMaxOps; ++op) {
-    for (uint32_t seg = 0; seg < kMaxSegments; ++seg) {
-      const PredictorCell& cell = predictor_[op][seg];
-      if (cell.inited != 0 && cell.limit != 0) {
-        table.Publish(op, seg, cell.limit);
-        ++stats.predictor_warm_publishes;
-      }
-    }
-  }
 }
 
 void StContext::OpBegin(uint32_t op_id) {
@@ -291,129 +229,34 @@ void StContext::SegmentAborted(int cause) {
 }
 
 void StContext::PredictorOnAbort(PredictorCell& cell, int cause) {
-  if (ActivePredictorFast() == PredictorKind::kStreak) {
-    // Paper §5.3, unchanged: only capacity aborts count toward the shrink streak.
-    cell.consec_commits = 0;
-    if (cause == static_cast<int>(htm::AbortCause::kCapacity)) {
-      if (++cell.consec_aborts >= config_.consec_threshold) {
-        if (cell.limit > config_.min_split_limit) {
-          --cell.limit;
-          ++stats.predictor_decreases;
-          trace::Emit(trace::Event::kPredictorShrink,
-                      PredictorTraceArg(cell.limit, op_id_, segment_index_,
-                                        CauseFamily::kCapacity));
-        }
-        cell.consec_aborts = 0;
+  // Paper §5.3: only capacity aborts count toward the shrink streak.
+  cell.consec_commits = 0;
+  if (cause == static_cast<int>(htm::AbortCause::kCapacity)) {
+    if (++cell.consec_aborts >= config_.consec_threshold) {
+      if (cell.limit > config_.min_split_limit) {
+        --cell.limit;
+        ++stats.predictor_decreases;
+        trace::Emit(trace::Event::kPredictorShrink,
+                    PredictorTraceArg(cell.limit, op_id_, segment_index_));
       }
-    }
-    return;
-  }
-
-  // Cost model. Each family's EWMA tracks "fraction of recent attempts this family
-  // aborted"; the sampled family moves toward 1, the other toward 0, explicit and
-  // spurious aborts move nothing (they carry no footprint or contention signal).
-  const CauseFamily family = CauseFamilyOf(cause);
-  if (family == CauseFamily::kIgnored) {
-    return;
-  }
-  const PredictorBands& bands = ActivePredictorBands();
-  if (family == CauseFamily::kCapacity) {
-    cell.ewma_capacity += static_cast<uint16_t>(
-        (kPredictorEwmaOne - cell.ewma_capacity) >> kPredictorEwmaShift);
-    cell.ewma_conflict -= static_cast<uint16_t>(cell.ewma_conflict >> kPredictorEwmaShift);
-    // Capacity is deterministic at a given footprint: remember the lowest limit that
-    // overflowed so growth never climbs back across the cliff.
-    if (cell.cap_ceiling == 0 || cell.limit < cell.cap_ceiling) {
-      cell.cap_ceiling = cell.limit;
-    }
-    if (cell.ewma_capacity >= bands.capacity_shrink &&
-        cell.limit > config_.min_split_limit) {
-      // Multiplicative shrink: a quarter of the limit per decision reaches the
-      // sub-cliff operating point in a handful of aborts instead of the streak
-      // rule's one-per-5.
-      const uint32_t step = cell.limit >> 2 != 0 ? cell.limit >> 2 : 1;
-      const uint32_t floor = config_.min_split_limit != 0 ? config_.min_split_limit : 0;
-      cell.limit = static_cast<uint16_t>(
-          cell.limit - step > floor ? cell.limit - step : floor);
-      // Hysteresis: halve the evidence (it described the old limit) and hold growth
-      // for a few commits so the new point shows its own abort rate first.
-      cell.ewma_capacity = static_cast<uint16_t>(cell.ewma_capacity >> 1);
-      cell.cooldown = static_cast<uint8_t>(bands.cooldown < 255 ? bands.cooldown : 255);
-      ++stats.predictor_decreases;
-      trace::Emit(trace::Event::kPredictorShrink,
-                  PredictorTraceArg(cell.limit, op_id_, segment_index_,
-                                    CauseFamily::kCapacity));
-    }
-  } else {  // conflict family
-    cell.ewma_conflict += static_cast<uint16_t>(
-        (kPredictorEwmaOne - cell.ewma_conflict) >> kPredictorEwmaShift);
-    cell.ewma_capacity -= static_cast<uint16_t>(cell.ewma_capacity >> kPredictorEwmaShift);
-    if (cell.ewma_conflict >= bands.conflict_shrink &&
-        cell.limit > config_.min_split_limit) {
-      // Gentle: contention is transient, so give up one block at a time and let the
-      // fast-recovery growth below win it back once the EWMA decays.
-      --cell.limit;
-      cell.ewma_conflict = static_cast<uint16_t>(cell.ewma_conflict >> 1);
-      cell.cooldown = static_cast<uint8_t>(bands.cooldown < 255 ? bands.cooldown : 255);
-      ++stats.predictor_decreases;
-      trace::Emit(trace::Event::kPredictorShrink,
-                  PredictorTraceArg(cell.limit, op_id_, segment_index_,
-                                    CauseFamily::kConflict));
+      cell.consec_aborts = 0;
     }
   }
 }
 
 void StContext::PredictorOnCommit() {
+  // Paper §5.3: a streak of commits grows the limit by one.
   PredictorCell& cell = CurrentCell();
-  if (ActivePredictorFast() == PredictorKind::kStreak) {
-    // Paper §5.3, unchanged: a streak of commits grows the limit by one.
-    cell.consec_aborts = 0;
-    if (++cell.consec_commits >= config_.consec_threshold) {
-      if (cell.limit < config_.max_split_limit) {
-        ++cell.limit;
-        ++stats.predictor_increases;
-        trace::Emit(trace::Event::kPredictorGrow,
-                    PredictorTraceArg(cell.limit, op_id_, segment_index_,
-                                      CauseFamily::kCommit));
-      }
-      cell.consec_commits = 0;
+  cell.consec_aborts = 0;
+  if (++cell.consec_commits >= config_.consec_threshold) {
+    if (cell.limit < config_.max_split_limit) {
+      ++cell.limit;
+      ++stats.predictor_increases;
+      trace::Emit(trace::Event::kPredictorGrow,
+                  PredictorTraceArg(cell.limit, op_id_, segment_index_));
     }
-    return;
+    cell.consec_commits = 0;
   }
-
-  // Cost model: a commit is a zero sample for both abort-rate EWMAs.
-  cell.ewma_capacity -= static_cast<uint16_t>(cell.ewma_capacity >> kPredictorEwmaShift);
-  cell.ewma_conflict -= static_cast<uint16_t>(cell.ewma_conflict >> kPredictorEwmaShift);
-  if (cell.cooldown != 0) {
-    --cell.cooldown;
-    return;
-  }
-  const PredictorBands& bands = ActivePredictorBands();
-  if (cell.ewma_capacity > bands.grow || cell.ewma_conflict > bands.grow) {
-    return;  // inside the dead band: neither shrink nor grow
-  }
-  uint32_t ceiling = config_.max_split_limit;
-  if (cell.cap_ceiling != 0 && cell.cap_ceiling - 1u < ceiling) {
-    ceiling = cell.cap_ceiling - 1u;  // stay strictly under the remembered cliff
-  }
-  if (cell.limit >= ceiling) {
-    return;
-  }
-  // Conflict pressure recovers fast (geometric steps back up once contention
-  // cleared); in a capacity-bounded regime growth creeps by single blocks so a
-  // drifting footprint is probed gently.
-  const bool conflict_regime = cell.ewma_conflict >= cell.ewma_capacity;
-  const uint32_t step = conflict_regime ? 1 + (cell.limit >> 3) : 1;
-  uint32_t next = cell.limit + step;
-  if (next > ceiling) {
-    next = ceiling;
-  }
-  cell.limit = static_cast<uint16_t>(next);
-  cell.cooldown = static_cast<uint8_t>(bands.cooldown < 255 ? bands.cooldown : 255);
-  ++stats.predictor_increases;
-  trace::Emit(trace::Event::kPredictorGrow,
-              PredictorTraceArg(cell.limit, op_id_, segment_index_,
-                                CauseFamily::kCommit));
 }
 
 void StContext::ExposeRegisters() {

@@ -22,7 +22,6 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/predictor.h"
@@ -54,10 +53,6 @@ struct StConfig {
   uint32_t free_highwater_mult = 4;   // back-pressure high water = mult * max_free
   uint64_t watchdog_deadline_ns = 50'000'000;  // one operation in flight this long,
                                                // as seen by rounds -> thread reported
-  // Warm-start hook: JSON file (tools/predictor_tune output or a PredictorTableToJson
-  // dump) loaded into the process-wide PredictorWarmTable when the first context with
-  // this config is created. Empty = no load (ST_PREDICTOR_WARM covers the env path).
-  std::string warm_start_path;
 };
 
 // Slow-path reference set (Algorithm 5). Owner appends/tombstones; scanners read
@@ -290,19 +285,17 @@ class StContext {
   };
   FrameRec frames[kMaxFrames];
   std::atomic<uint32_t> frame_count{0};
+  // The words an abort of the running segment puts back into tracked frame `f`,
+  // saved at each fast-segment arm (SaveReplayRoots). Under the software backend a
+  // frame store inside a segment is a plain store, so the frame itself may show the
+  // segment's uncommitted words; the committed ones are here until the next arm.
+  const uintptr_t* replay_frame(uint32_t f) const { return frame_snapshot_[f]; }
   RefSet ref_set;
 
   Stats stats;
 
   const StConfig& config() const { return config_; }
   uint32_t tid() const { return tid_; }
-
-  // Folds this context's learned split limits into the process-wide
-  // PredictorWarmTable so later-registering threads inherit them instead of
-  // re-deriving from initial_split_limit. Runs automatically at destruction and at
-  // thread exit, under the cost predictor only — the streak default stays
-  // byte-for-byte the paper's behavior.
-  void PublishPredictorTable();
 
   // Test hooks.
   uint32_t current_limit() const { return limit_; }
@@ -319,15 +312,10 @@ class StContext {
 
  private:
   struct PredictorCell {
-    uint16_t limit = 0;        // lazily seeded at first touch (see CurrentCell)
-    uint8_t consec_aborts = 0;   // streak policy state (paper §5.3)
+    uint16_t limit = 0;          // set to initial_split_limit at first touch
+    uint8_t consec_aborts = 0;   // streak state (paper §5.3)
     uint8_t consec_commits = 0;
     uint8_t inited = 0;          // first-touch marker; limit is meaningless before
-    uint8_t cooldown = 0;        // cost policy: commits left before growth re-enables
-    uint16_t ewma_capacity = 0;  // cost policy: Q15 abort-rate EWMAs per cause family
-    uint16_t ewma_conflict = 0;
-    uint16_t cap_ceiling = 0;    // cost policy: lowest limit seen to capacity-abort
-                                 // (deterministic cliff); 0 = none observed
   };
 
   template <typename T>
@@ -354,9 +342,7 @@ class StContext {
   }
 
   PredictorCell& CurrentCell();
-  // Predictor decision paths, dispatched on ActivePredictorFast(). The streak
-  // branches are the paper's §5.3 rule unchanged; the cost branches implement the
-  // EWMA model documented in core/predictor.h / DESIGN.md §5e.
+  // The paper's §5.3 streak rule (DESIGN.md §5e).
   void PredictorOnAbort(PredictorCell& cell, int cause);
   void PredictorOnCommit();
   // Post-retire disposition: a free set at the scan threshold runs one inline round.

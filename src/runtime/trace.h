@@ -45,10 +45,9 @@ enum class Event : uint16_t {
                          // 1 conflict, 2 capacity, 3 explicit, 4 other
                          // (htm::AbortCauseName decodes them)
   kCheckpointSplit,      // mid-operation commit at a checkpoint; arg = steps executed
-  kPredictorGrow,        // per-(op,segment) limit grew; arg packs the new limit, the
-                         // cell coordinates and the driving CauseFamily — see
-                         // core/predictor.h PredictorTraceArg (tools/predictor_tune
-                         // depends on this layout to attribute moves to cells)
+  kPredictorGrow,        // per-(op,segment) limit grew; arg packs the new limit and
+                         // the cell coordinates — see core/predictor.h
+                         // PredictorTraceArg
   kPredictorShrink,      // per-(op,segment) limit shrank; same packed arg layout
   kSlowPathEntry,        // segment entered the software slow path; arg = split limit
   kRetire,               // nodes handed to the free set; arg = batch count

@@ -17,19 +17,10 @@ namespace {
 
 class SplitEngineTest : public ::testing::Test {
  protected:
-  // These cases unit-test the §5.3 streak rule specifically; pin it so an
-  // ST_PREDICTOR=cost suite run still exercises what the assertions describe
-  // (tests/predictor_test.cc covers the cost policy).
-  void SetUp() override {
-    saved_predictor_ = ActivePredictor();
-    SelectPredictor(PredictorKind::kStreak);
-  }
   void TearDown() override {
-    SelectPredictor(saved_predictor_);
     runtime::MachineModel::Instance().Configure(runtime::MachineConfig{});
   }
   runtime::ThreadScope scope_;
-  PredictorKind saved_predictor_ = PredictorKind::kStreak;
 };
 
 TEST_F(SplitEngineTest, CheckpointsSplitAtTheLimit) {

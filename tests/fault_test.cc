@@ -512,6 +512,67 @@ TEST_F(FaultTest, SkipListUnlinkPassWalksPastReinsertedKey) {
   runtime::PoolAllocator::Instance().Free(x);  // leaked by the scheme, unreachable
 }
 
+// Under the software backend a tracked-frame store inside a segment is a plain store,
+// so a round sweeping the frame sees the segment's uncommitted word. An abort then
+// restores the committed one from the replay snapshot: the round must have counted
+// the snapshot as a root, or the restored pointer names freed memory. The victim
+// commits x into a frame slot at a checkpoint, overwrites the slot in its next
+// segment and waits there while the main thread unlinks x and runs one round.
+TEST_F(FaultTest, AbortRestoresOnlyRootsTheRoundKeptAlive) {
+  auto& pool = runtime::PoolAllocator::Instance();
+  for (const bool hashed : {true, false}) {
+    SCOPED_TRACE(hashed ? "root-table round" : "per-candidate round");
+    runtime::ThreadScope scope;
+    core::StConfig config;
+    config.initial_split_limit = 1;  // the first checkpoint commits the segment
+    config.max_free = 1;             // each Free runs one round
+    config.hashed_scan = hashed;
+    smr::StackTrackSmr::Domain domain(config);
+    core::StContext& main_ctx = domain.AcquireHandle();
+    void* const x = pool.Alloc(32);
+    std::atomic<void*> head{x};
+    std::atomic<bool> overwritten{false};
+    std::atomic<bool> round_done{false};
+    uintptr_t restored = 0;
+    bool restored_live = false;
+
+    std::thread victim([&] {
+      runtime::ThreadScope inner;
+      core::StContext& ctx = domain.AcquireHandle();
+      core::TrackedFrame<1> frame(ctx);
+      volatile int attempts = 0;
+      ST_OP_BEGIN(ctx, 0);
+      frame.ptr<void*>(0) = ctx.Load(head);
+      ST_CHECKPOINT(ctx);  // commits x as a root and arms the next segment
+      attempts = attempts + 1;
+      if (attempts == 1) {
+        frame.words[0] = 0;
+        overwritten.store(true, std::memory_order_release);
+        while (!round_done.load(std::memory_order_acquire)) {
+          sched_yield();
+        }
+        htm::TxAbort(htm::AbortCause::kExplicit);
+      }
+      restored = frame.words[0];
+      restored_live = pool.OwnsLive(x);
+      ST_OP_END(ctx);
+    });
+    while (!overwritten.load(std::memory_order_acquire)) {
+      sched_yield();
+    }
+    head.store(nullptr);
+    const uint64_t rounds_before = main_ctx.stats.scan_calls;
+    main_ctx.Free(x);
+    round_done.store(true, std::memory_order_release);
+    victim.join();
+
+    EXPECT_EQ(main_ctx.stats.scan_calls, rounds_before + 1);
+    EXPECT_EQ(restored, reinterpret_cast<uintptr_t>(x));
+    EXPECT_TRUE(restored_live) << "the round freed a root the abort restored";
+    EXPECT_EQ(main_ctx.FlushFrees(), 0u) << "x must be freed once the victim's op ends";
+  }
+}
+
 // Acceptance scenario from the issue: a 4-thread list workload in which one thread is
 // parked indefinitely mid-operation must still complete, with every surviving thread's
 // free set bounded by the high-water mark and the deferred list bounded by its
