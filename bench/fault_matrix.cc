@@ -6,14 +6,19 @@
 // bounded sleeps (payload microseconds), not gates — an indefinitely parked thread
 // would wedge the epoch scheme's quiescence wait forever by design.
 //
-// Env knobs (shared with the other benches): ST_BENCH_THREADS, ST_BENCH_MS.
+// Each cell prefills its list fault-free, then arms the faults and takes the
+// live-object baseline, so the peak excess counts only what the run itself leaves
+// unreclaimed.
+//
+// Env knobs (shared with the other benches): ST_BENCH_THREADS, ST_BENCH_MS,
+// ST_BENCH_SEED.
 #include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
 #include <thread>
 
-#include "bench/harness.h"
+#include "bench/workload/runner.h"
 #include "ds/list.h"
 #include "runtime/fault.h"
 #include "runtime/pool_alloc.h"
@@ -32,7 +37,7 @@ struct Cell {
 };
 
 // Samples the pool's live-object count from a sidecar thread while the workload
-// runs: the peak, minus the structure's own size, approximates the worst-case
+// runs: the peak above the prefilled baseline approximates the worst-case
 // unreclaimed backlog the scheme allowed.
 class LiveObjectsProbe {
  public:
@@ -64,20 +69,24 @@ class LiveObjectsProbe {
 };
 
 template <typename Smr>
-Cell Point(const WorkloadConfig& cfg, double abort_prob, double stall_prob,
+Cell Point(workload::Scenario scenario, double abort_prob, double stall_prob,
            uint32_t stall_us) {
+  typename Smr::Domain domain;
+  ds::LockFreeList<Smr> list;
+  workload::PrefillMap<Smr>(domain, list, scenario);
+  scenario.prefill = 0;
   if (abort_prob > 0.0) {
-    fault::ArmProbability(fault::Site::kSoftTxAbort, abort_prob, cfg.seed);
+    fault::ArmProbability(fault::Site::kSoftTxAbort, abort_prob, scenario.keys.seed);
   }
   if (stall_prob > 0.0) {
-    fault::ArmProbability(fault::Site::kThreadStall, stall_prob, cfg.seed ^ 0x5747,
-                          /*payload=*/stall_us);
+    fault::ArmProbability(fault::Site::kThreadStall, stall_prob,
+                          scenario.keys.seed ^ 0x5747, /*payload=*/stall_us);
   }
   Cell cell;
   {
     LiveObjectsProbe probe;
-    ds::LockFreeList<Smr> list;
-    const WorkloadResult result = RunMapWorkload<Smr>(list, cfg);
+    const workload::RunResult result =
+        workload::RunMapScenario<Smr>(domain, list, scenario);
     cell.mops = result.ops_per_sec / 1e6;
     cell.peak_unreclaimed = probe.Finish();
   }
@@ -86,20 +95,17 @@ Cell Point(const WorkloadConfig& cfg, double abort_prob, double stall_prob,
 }
 
 int Main() {
-  PrintHeader("Fault matrix: throughput / peak unreclaimed under injected faults",
-              "list, 1K nodes, 20% mutations; cells are Mops/s : peak excess objects");
+  const auto env = workload::EnvConfig::Load();
+  workload::PrintHeader(
+      env, "Fault matrix: throughput / peak unreclaimed under injected faults",
+      "list, 1K nodes, 20% mutations; cells are Mops/s : peak excess objects");
   constexpr double kAbortProbs[] = {0.0, 0.05, 0.2};
   constexpr double kStallProbs[] = {0.0, 0.001, 0.01};
   constexpr uint32_t kStallUs = 500;
 
-  for (const uint32_t threads : EnvThreads()) {
-    WorkloadConfig cfg;
-    cfg.threads = threads;
-    cfg.duration_ms = EnvMs();
-    cfg.mutation_percent = 20;
-    cfg.key_range = 2000;
-    cfg.prefill = 1000;
-    cfg.inject_preemption = false;  // the fault injector owns the preempt points here
+  for (const uint32_t threads : env.threads) {
+    workload::Scenario scenario = workload::MapScenario(env, threads, 2000);
+    scenario.inject_preemption = false;  // the fault injector owns the preempt points here
 
     std::printf("\n-- %u thread(s) --\n", threads);
     std::printf("%8s %8s | %18s %18s %18s\n", "abort_p", "stall_p", "Hazards", "Epoch",
@@ -109,13 +115,13 @@ int Main() {
         // The abort axis is meaningless for the non-transactional schemes; skip the
         // redundant rows instead of re-measuring identical configurations.
         const Cell hp = abort_prob == 0.0
-                            ? Point<smr::HazardSmr>(cfg, 0.0, stall_prob, kStallUs)
+                            ? Point<smr::HazardSmr>(scenario, 0.0, stall_prob, kStallUs)
                             : Cell{};
         const Cell ep = abort_prob == 0.0
-                            ? Point<smr::EpochSmr>(cfg, 0.0, stall_prob, kStallUs)
+                            ? Point<smr::EpochSmr>(scenario, 0.0, stall_prob, kStallUs)
                             : Cell{};
         const Cell st =
-            Point<smr::StackTrackSmr>(cfg, abort_prob, stall_prob, kStallUs);
+            Point<smr::StackTrackSmr>(scenario, abort_prob, stall_prob, kStallUs);
         auto print_cell = [](const Cell& c, bool measured) {
           if (measured) {
             std::printf(" %9.2f:%-8zu", c.mops, c.peak_unreclaimed);

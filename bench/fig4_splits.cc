@@ -2,7 +2,9 @@
 // segments per operation and average segment length (basic blocks per committed
 // segment). Higher thread counts mean more aborts, so the predictor converges to
 // shorter, more numerous segments.
-#include "bench/harness.h"
+#include <cstdio>
+
+#include "bench/workload/runner.h"
 #include "ds/list.h"
 #include "smr/stacktrack_smr.h"
 
@@ -10,23 +12,20 @@ namespace stacktrack::bench {
 namespace {
 
 int Main() {
-  PrintHeader("Fig 4: StackTrack split profile on the list benchmark",
-              "5K nodes, 20% mutations, keys 1..10000");
+  const auto env = workload::EnvConfig::Load();
+  workload::PrintHeader(env, "Fig 4: StackTrack split profile on the list benchmark",
+                        "5K nodes, 20% mutations, keys 1..10000");
   std::printf("%8s %16s %18s %16s %16s\n", "threads", "splits/op", "avg split length",
               "limit increases", "limit decreases");
-  for (const uint32_t threads : EnvThreads()) {
-    WorkloadConfig cfg;
-    cfg.threads = threads;
-    cfg.duration_ms = EnvMs();
-    cfg.mutation_percent = 20;
-    cfg.key_range = 10000;
-    cfg.prefill = 5000;
+  for (const uint32_t threads : env.threads) {
     ds::LockFreeList<smr::StackTrackSmr> list;
-    const WorkloadResult result = RunMapWorkload<smr::StackTrackSmr>(list, cfg);
-    std::printf("%8u %16.2f %18.2f %16llu %16llu\n", threads, result.stats.AvgSplitsPerOp(),
-                result.stats.AvgSplitLength(),
-                static_cast<unsigned long long>(result.stats.predictor_increases),
-                static_cast<unsigned long long>(result.stats.predictor_decreases));
+    const core::Stats stats = workload::RunMapScenario<smr::StackTrackSmr>(
+                                  list, workload::MapScenario(env, threads, 10000))
+                                  .stats;
+    std::printf("%8u %16.2f %18.2f %16llu %16llu\n", threads, stats.AvgSplitsPerOp(),
+                stats.AvgSplitLength(),
+                static_cast<unsigned long long>(stats.predictor_increases),
+                static_cast<unsigned long long>(stats.predictor_decreases));
   }
   return 0;
 }

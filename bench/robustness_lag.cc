@@ -26,6 +26,8 @@
 //   --scheme    any smr/registry.h name, a comma list, "all" (the two contract
 //               schemes above), or "help"; default honors ST_SCHEME
 //   --smoke     short windows for CI (also honors ST_BENCH_MS)
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -34,10 +36,14 @@
 #include <thread>
 #include <vector>
 
-#include "bench/harness.h"
+#include "bench/workload/scenario.h"
 #include "core/stats_export.h"
 #include "ds/list.h"
+#include "runtime/barrier.h"
 #include "runtime/fault.h"
+#include "runtime/rand.h"
+#include "runtime/thread_registry.h"
+#include "runtime/trace.h"
 #include "smr/registry.h"
 
 namespace stacktrack::bench {
@@ -282,9 +288,15 @@ int Main(int argc, char** argv) {
     } else if ((v = value("--scenario=")) != nullptr) {
       opt.scenario = v;
     } else if ((v = value("--threads=")) != nullptr) {
-      opt.threads = static_cast<uint32_t>(std::atoi(v));
+      if (!workload::ParseThreadCount(v, &opt.threads)) {
+        std::fprintf(stderr, "%s: expected 1..%u threads\n", argv[i], runtime::kMaxThreads);
+        return 2;
+      }
     } else if ((v = value("--ms=")) != nullptr) {
-      opt.duration_ms = static_cast<uint32_t>(std::atoi(v));
+      if (!workload::ParseDurationMs(v, &opt.duration_ms)) {
+        std::fprintf(stderr, "%s: expected a window in ms >= 1\n", argv[i]);
+        return 2;
+      }
     } else if (arg == "--smoke") {
       opt.smoke = true;
     } else if (arg == "--json") {
@@ -295,7 +307,7 @@ int Main(int argc, char** argv) {
     }
   }
   if (opt.smoke) {
-    opt.duration_ms = EnvMs(200);
+    opt.duration_ms = workload::EnvConfig::Load(200).duration_ms;
     opt.stall_ms = opt.duration_ms / 4;
   }
   // "all" is the two schemes whose robustness contracts the header documents (and
@@ -305,7 +317,7 @@ int Main(int argc, char** argv) {
   if (!smr::ResolveSchemeSelection(opt.scheme, contract_schemes, &schemes)) {
     return opt.scheme == "help" ? 0 : 2;
   }
-  InstallCrashHandler();
+  workload::InstallCrashHandler();
   if (!opt.json) {
     std::printf("# robustness_lag: scenario=%s threads=%u ms=%u stall_ms=%u\n",
                 opt.scenario.c_str(), opt.threads, opt.duration_ms, opt.stall_ms);

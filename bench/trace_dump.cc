@@ -10,16 +10,18 @@
 //
 // The --check mode is registered as the `trace`-labeled ctest `trace_dump_json`, so
 // "the exporter produces JSON a consumer can parse" is enforced, not assumed.
-// Knobs: ST_BENCH_MS (window, default 100), ST_BENCH_THREADS first entry (default 4).
+// Knobs: ST_BENCH_MS (window, default 100), ST_BENCH_THREADS first entry (default 4),
+// ST_BENCH_SEED.
 #include <cstdio>
 #include <cstring>
 #include <string>
 
-#include "bench/harness.h"
+#include "bench/workload/runner.h"
 #include "stacktrack.h"
 
 namespace {
 
+using stacktrack::bench::workload::EnvConfig;
 using stacktrack::core::StatsTimeline;
 using stacktrack::core::minijson::Parse;
 using stacktrack::core::minijson::Value;
@@ -31,12 +33,9 @@ struct RunOutput {
   stacktrack::core::Stats stats;
 };
 
-RunOutput RunAndExport(uint32_t threads, uint32_t duration_ms) {
-  stacktrack::bench::WorkloadConfig cfg;
-  cfg.threads = threads;
-  cfg.duration_ms = duration_ms;
-  cfg.key_range = 2048;
-  cfg.prefill = 1024;
+RunOutput RunAndExport(const EnvConfig& env) {
+  const auto scenario =
+      stacktrack::bench::workload::MapScenario(env, env.threads.front(), 2048);
 
   trace::ResetAll();
   trace::Arm(true);
@@ -45,16 +44,16 @@ RunOutput RunAndExport(uint32_t threads, uint32_t duration_ms) {
 
   stacktrack::ds::LockFreeList<stacktrack::smr::StackTrackSmr> list;
   stacktrack::smr::StackTrackSmr::Domain domain;
-  const auto result =
-      stacktrack::bench::RunMapWorkloadIn<stacktrack::smr::StackTrackSmr>(domain, list, cfg);
+  const auto result = stacktrack::bench::workload::RunMapScenario<
+      stacktrack::smr::StackTrackSmr>(domain, list, scenario);
 
   timeline.StopPeriodic();
   trace::Arm(false);
   const auto records = trace::CollectMerged();
 
   std::string json = "{\"meta\":{\"bench\":\"trace_dump\",\"threads\":";
-  json += std::to_string(threads);
-  json += ",\"duration_ms\":" + std::to_string(duration_ms);
+  json += std::to_string(scenario.threads);
+  json += ",\"duration_ms\":" + std::to_string(scenario.duration_ms);
   json += ",\"total_ops\":" + std::to_string(result.total_ops);
   json += "},\n\"stats\":" + stacktrack::core::StatsToJson(result.stats);
   json += ",\n\"timeline\":" + stacktrack::core::TimelineToJson(timeline.samples());
@@ -152,14 +151,12 @@ bool Check(const RunOutput& run) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  stacktrack::bench::InstallCrashHandler();
+  stacktrack::bench::workload::InstallCrashHandler();
   const bool check = argc > 1 && std::strcmp(argv[1], "--check") == 0;
-  const uint32_t duration_ms = stacktrack::bench::EnvMs(100);
   // First ST_BENCH_THREADS entry if set; default 4 so the merged trace interleaves.
-  const uint32_t threads =
-      std::getenv("ST_BENCH_THREADS") != nullptr ? stacktrack::bench::EnvThreads().front() : 4;
+  const EnvConfig env = EnvConfig::Load(/*default_ms=*/100, /*default_threads=*/{4});
 
-  const RunOutput run = RunAndExport(threads, duration_ms);
+  const RunOutput run = RunAndExport(env);
   if (!check) {
     std::fputs(run.json.c_str(), stdout);
     return 0;

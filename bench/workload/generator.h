@@ -5,13 +5,11 @@
 // any process, which is what makes scenario runs replayable (record a run's spec,
 // rebuild the exact key pattern later — cross-run determinism is tested in
 // tests/workload_test.cc). Distinct threads get decorrelated streams by stretching
-// the scenario seed through the golden-ratio multiplier, the same idiom
-// bench/harness.h has always used for its worker seeds.
+// the scenario seed through the golden-ratio multiplier.
 //
-// The zipfian path reuses runtime/rand.h's CDF formulation but hoists the table out
-// of the generator: the CDF over a production-sized key range is O(range) doubles and
-// identical for every thread, so the scenario builds one ZipfCdf and all streams
-// share it read-only.
+// The zipfian table lives outside the streams: the CDF over a production-sized key
+// range is O(range) doubles and identical for every thread, so the scenario builds
+// one ZipfCdf and all streams share it read-only.
 #ifndef STACKTRACK_BENCH_WORKLOAD_GENERATOR_H_
 #define STACKTRACK_BENCH_WORKLOAD_GENERATOR_H_
 
@@ -78,8 +76,6 @@ class KeyStream {
 
   // Uniform dice in [0, bound) from the same stream (op-mix selection).
   uint64_t Dice(uint64_t bound) { return rng_.NextBounded(bound); }
-
-  const KeyStreamSpec& spec() const { return spec_; }
 
   // The per-thread seed derivation, exposed so tests can assert the decorrelation
   // contract directly.

@@ -5,7 +5,9 @@
 // deterministic KeyStream (generator.h) and one LatencyHistogram per op kind
 // (histogram.h, single-writer); the runner merges the per-thread histograms after
 // join and reports exact p50/p99/p999 per op kind alongside the classic
-// ops/sec + Stats-delta numbers the figure binaries have always printed.
+// ops/sec + Stats-delta numbers the figure binaries have always printed. The Stats
+// delta comes from the domain's Snapshot(), the counter surface every scheme has
+// (smr/smr.h).
 //
 // Latency timestamps are CLOCK_MONOTONIC reads taken strictly OUTSIDE the
 // operations: an operation's transactional segments live inside the structure call,
@@ -15,10 +17,10 @@
 // both safe and the honest SLO number: it charges aborts, retries, and slow-path
 // entries to the operation that suffered them.
 //
-// Preemption injection follows bench/harness.h: once a scenario's thread count
-// exceeds the machine model's hardware contexts, simulated context switches are
-// armed for the run (the software-multiplexing regime that breaks epoch-based
-// reclamation in the paper's Figs. 1-2).
+// Preemption injection: once a scenario's thread count exceeds the machine model's
+// hardware contexts, simulated context switches are armed for the run (the
+// software-multiplexing regime that breaks epoch-based reclamation in the paper's
+// Figs. 1-2).
 #ifndef STACKTRACK_BENCH_WORKLOAD_RUNNER_H_
 #define STACKTRACK_BENCH_WORKLOAD_RUNNER_H_
 
@@ -44,15 +46,10 @@ namespace stacktrack::bench::workload {
 struct RunResult {
   uint64_t total_ops = 0;
   double ops_per_sec = 0.0;
-  core::Stats stats;  // global StatsRegistry delta over the measured window
+  core::Stats stats;  // domain.Snapshot() delta over the measured window
   uint64_t ops_by_kind[kOpKinds] = {};
   LatencyHistogram latency[kOpKinds];  // merged across threads; empty when
                                        // measure_latency was off
-
-  const LatencyHistogram& LatencyOf(OpKind kind) const {
-    return latency[static_cast<uint32_t>(kind)];
-  }
-  uint64_t OpsOf(OpKind kind) const { return ops_by_kind[static_cast<uint32_t>(kind)]; }
 };
 
 // Compact percentile view of one histogram (runner.cc); used by result printers.
@@ -113,7 +110,7 @@ RunResult RunScenario(Domain& domain, const Scenario& scenario, OpFn op) {
     cdf = &zipf_cdf;
   }
 
-  const core::Stats stats_before = core::StatsRegistry::Instance().Sum();
+  const core::Stats stats_before = domain.Snapshot();
 
   const bool oversubscribed = scenario.threads > model.config().hardware_contexts();
   if (scenario.inject_preemption && oversubscribed) {
@@ -167,7 +164,7 @@ RunResult RunScenario(Domain& domain, const Scenario& scenario, OpFn op) {
   const double seconds = std::chrono::duration<double>(end - start).count();
   result.ops_per_sec =
       seconds > 0 ? static_cast<double>(result.total_ops) / seconds : 0.0;
-  result.stats = StatsDelta(stats_before, core::StatsRegistry::Instance().Sum());
+  result.stats = StatsDelta(stats_before, domain.Snapshot());
   return result;
 }
 

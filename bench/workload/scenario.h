@@ -8,19 +8,18 @@
 // (runner.h) executes a Scenario against any Domain + structure; the per-figure
 // binaries and bench/ycsb_kv only declare scenarios and print results.
 //
-// EnvConfig centralizes the ST_BENCH_* environment parsing that every figure binary
-// used to re-derive through bench/harness.h:
-//   ST_BENCH_MS       per-point measure window in ms
-//   ST_BENCH_THREADS  comma list of thread counts
+// EnvConfig is the one parser for the bench environment knobs:
+//   ST_BENCH_MS       per-point measure window in ms (>= 1)
+//   ST_BENCH_THREADS  comma list of thread counts (each 1..runtime::kMaxThreads)
 //   ST_BENCH_SEED     scenario base seed (decimal or 0x hex)
 //   ST_TRACE_ARM      if set, arm event tracing for the run
-// EnvConfig is header-only so bench binaries that only need the knobs (via
-// harness.h's forwarding shims) do not have to link the workload library.
+// A value that is not wholly a number in range ends the process with exit status
+// 2 before any worker starts. The crash handler and the banner every bench binary
+// prints live beside it.
 #ifndef STACKTRACK_BENCH_WORKLOAD_SCENARIO_H_
 #define STACKTRACK_BENCH_WORKLOAD_SCENARIO_H_
 
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -67,7 +66,7 @@ struct Scenario {
   // Thread ramp: worker t enters the workload t * ramp_step_ms after the barrier
   // (staggered arrival, the serving-system warmup shape). 0 = all start together.
   uint32_t ramp_step_ms = 0;
-  bool inject_preemption = true;  // oversubscription preemption, as in bench/harness.h
+  bool inject_preemption = true;  // oversubscription preemption (runner.h)
   bool measure_latency = true;    // per-op monotonic timestamps -> histograms
 };
 
@@ -80,44 +79,29 @@ struct Scenario {
 // path (5% of reads become index scans).
 Scenario YcsbScenario(char letter, uint64_t key_range = 16384, bool with_scans = false);
 
-// One-stop ST_BENCH_* environment view (satellite of the engine refactor: the
-// figure binaries previously each re-parsed these in main()).
+// Strict parsers shared by EnvConfig and the --threads= / --ms= flags of ycsb_kv and
+// robustness_lag. Each accepts only a value that is wholly a decimal number in range.
+bool ParseThreadCount(const char* text, uint32_t* out);  // 1..runtime::kMaxThreads
+bool ParseDurationMs(const char* text, uint32_t* out);   // >= 1
+
+// The ST_BENCH_* environment view.
 struct EnvConfig {
   uint32_t duration_ms;
   std::vector<uint32_t> threads;
   uint64_t seed;
   bool trace_arm;
 
+  // Reads the knobs over the given defaults. An invalid value prints Parse's message
+  // and exits with status 2.
   static EnvConfig Load(uint32_t default_ms = 150,
                         std::vector<uint32_t> default_threads = {1, 2, 3, 4, 6, 8, 12,
                                                                  16},
-                        uint64_t default_seed = 0x5eedULL) {
-    EnvConfig env;
-    env.duration_ms = default_ms;
-    if (const char* value = std::getenv("ST_BENCH_MS"); value != nullptr) {
-      env.duration_ms = static_cast<uint32_t>(std::atoi(value));
-    }
-    env.threads = std::move(default_threads);
-    if (const char* value = std::getenv("ST_BENCH_THREADS"); value != nullptr) {
-      env.threads.clear();
-      std::size_t pos = 0;
-      const std::string spec(value);
-      while (pos < spec.size()) {
-        env.threads.push_back(static_cast<uint32_t>(std::atoi(spec.c_str() + pos)));
-        pos = spec.find(',', pos);
-        if (pos == std::string::npos) {
-          break;
-        }
-        ++pos;
-      }
-    }
-    env.seed = default_seed;
-    if (const char* value = std::getenv("ST_BENCH_SEED"); value != nullptr) {
-      env.seed = std::strtoull(value, nullptr, 0);
-    }
-    env.trace_arm = std::getenv("ST_TRACE_ARM") != nullptr;
-    return env;
-  }
+                        uint64_t default_seed = 0x5eedULL);
+
+  // Overlays the set knobs onto *env (which holds the defaults). Returns false, with
+  // *error naming the variable and its value, when a knob is not wholly a number in
+  // range; *env is then unspecified.
+  static bool Parse(EnvConfig* env, std::string* error);
 
   // Stamp the per-run knobs onto a scenario (thread count stays the caller's loop
   // variable).
@@ -126,6 +110,18 @@ struct EnvConfig {
     scenario->keys.seed = seed;
   }
 };
+
+// The paper's map workload (Figs. 1-5, the §6 scan study, the §5.2 ablation): 10%
+// insert / 10% remove / 80% Contains over uniform keys 1..key_range, prefilled to
+// half the range, with no per-op clock reads. The env knobs are applied.
+Scenario MapScenario(const EnvConfig& env, uint32_t threads, uint64_t key_range);
+
+// Prints a native-frame backtrace to stderr on SIGSEGV/SIGBUS before exiting.
+void InstallCrashHandler();
+
+// The "# title / # workload / # machine model" banner. Arms event tracing for the
+// whole run first when ST_TRACE_ARM was set.
+void PrintHeader(const EnvConfig& env, const char* title, const char* workload);
 
 }  // namespace stacktrack::bench::workload
 

@@ -34,12 +34,12 @@
 // entry — this bench is one serving point, not a thread sweep).
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "bench/harness.h"
 #include "bench/workload/runner.h"
 #include "core/stats_export.h"
 #include "ds/hashtable.h"
@@ -280,9 +280,9 @@ void RunPreset(const Options& opt, const std::vector<std::string>& schemes,
   for (const std::string& name : schemes) {
     smr::DispatchScheme(name, [&]<typename Smr>(const smr::SchemeInfo& info) {
       typename Smr::Domain domain;
-      // Scheme-level reclamation counters come from the domain (the global
-      // StatsRegistry only counts StackTrack contexts; baselines keep their
-      // retire/free totals domain-side — smr.h's uniform Snapshot contract).
+      // The scheme counters printed as scheme_stats span the load phase too, so
+      // their retires - frees is the garbage left at the end of the run;
+      // result.stats covers the measured window only.
       const core::Stats before = domain.Snapshot();
       const workload::RunResult result = RunKv<Smr>(domain, opt, scenario);
       PrintResult(opt, info.name, scenario, result,
@@ -310,9 +310,15 @@ int Main(int argc, char** argv) {
     } else if ((v = value("--scheme=")) != nullptr) {
       opt.scheme = v;
     } else if ((v = value("--threads=")) != nullptr) {
-      opt.threads = static_cast<uint32_t>(std::atoi(v));
+      if (!workload::ParseThreadCount(v, &opt.threads)) {
+        std::fprintf(stderr, "%s: expected 1..%u threads\n", argv[i], runtime::kMaxThreads);
+        return 2;
+      }
     } else if ((v = value("--ms=")) != nullptr) {
-      opt.duration_ms = static_cast<uint32_t>(std::atoi(v));
+      if (!workload::ParseDurationMs(v, &opt.duration_ms)) {
+        std::fprintf(stderr, "%s: expected a window in ms >= 1\n", argv[i]);
+        return 2;
+      }
     } else if ((v = value("--keys=")) != nullptr) {
       opt.key_range = std::strtoull(v, nullptr, 0);
     } else if ((v = value("--shards=")) != nullptr) {
@@ -338,7 +344,7 @@ int Main(int argc, char** argv) {
   if (!smr::ResolveSchemeSelection(opt.scheme, smr::AllSchemeNames(), &schemes)) {
     return opt.scheme == "help" ? 0 : 2;
   }
-  InstallCrashHandler();
+  workload::InstallCrashHandler();
   if (workload::EnvConfig::Load().trace_arm) {
     runtime::trace::Arm(true);
   }

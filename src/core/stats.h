@@ -97,10 +97,6 @@ struct Stats {
                ? 0.0
                : static_cast<double>(steps_committed) / static_cast<double>(segments_committed);
   }
-
-  uint64_t TotalAborts() const {
-    return aborts_conflict + aborts_capacity + aborts_explicit + aborts_other;
-  }
 };
 
 // Tracks all live per-thread Stats blocks. Threads register at context creation and

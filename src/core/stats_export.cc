@@ -122,27 +122,6 @@ std::string TimelineToJson(const std::vector<StatsSnapshot>& samples) {
   return out;
 }
 
-std::string TimelineToCsv(const std::vector<StatsSnapshot>& samples) {
-  std::string out = "ns";
-  for (std::size_t i = 0; i < kStatsFieldCount; ++i) {
-    out += ',';
-    out += kStatsFields[i].name;
-  }
-  out += ",lag\n";
-  const uint64_t t0 = samples.empty() ? 0 : samples.front().ns;
-  for (const StatsSnapshot& s : samples) {
-    AppendU64(out, s.ns - t0);
-    for (std::size_t i = 0; i < kStatsFieldCount; ++i) {
-      out += ',';
-      AppendU64(out, s.totals.*(kStatsFields[i].member));
-    }
-    out += ',';
-    AppendU64(out, ReclamationLag(s));
-    out += '\n';
-  }
-  return out;
-}
-
 std::string TraceToJson(const std::vector<runtime::trace::MergedRecord>& records,
                         uint64_t dropped) {
   namespace trace = runtime::trace;

@@ -88,8 +88,6 @@ bool StatsFromJson(std::string_view json, Stats* out);
 // {"samples":[{"ns":..,"lag":..,"stats":{...}}, ...]} — ns is made relative to the
 // first sample so the series starts at 0.
 std::string TimelineToJson(const std::vector<StatsSnapshot>& samples);
-// Header row then one row per sample: ns, every counter, then derived lag.
-std::string TimelineToCsv(const std::vector<StatsSnapshot>& samples);
 
 // {"dropped":..,"records":[{"ns":..,"tid":..,"event":"segment_begin","arg":..},...]}.
 std::string TraceToJson(const std::vector<runtime::trace::MergedRecord>& records,

@@ -170,14 +170,6 @@ uint32_t Payload(Site site) {
   return StateOf(site).payload.load(std::memory_order_relaxed);
 }
 
-void ResetCounters() {
-  for (uint32_t i = 0; i < kSiteCount; ++i) {
-    SiteState& s = StateOf(static_cast<Site>(i));
-    s.visits.store(0, std::memory_order_relaxed);
-    s.fires.store(0, std::memory_order_relaxed);
-  }
-}
-
 uint64_t StalledMask() { return g_stalled_mask.load(std::memory_order_acquire); }
 
 bool IsStalled(uint32_t tid) {

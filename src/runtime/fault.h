@@ -136,7 +136,6 @@ void DisarmAll();
 uint64_t Visits(Site site);
 uint64_t Fires(Site site);
 uint32_t Payload(Site site);
-void ResetCounters();
 
 // Bit `tid` is set while that thread is parked in a stall gate.
 uint64_t StalledMask();

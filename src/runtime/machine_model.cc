@@ -40,9 +40,4 @@ double MachineModel::SpuriousAbortProbNow() const {
   return active > c.hardware_contexts() ? c.oversubscribed_abort_prob : 0.0;
 }
 
-bool MachineModel::OversubscribedNow() const {
-  const MachineConfig c = config();
-  return ThreadRegistry::Instance().active_count() > c.hardware_contexts();
-}
-
 }  // namespace stacktrack::runtime

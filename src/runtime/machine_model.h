@@ -59,10 +59,6 @@ class MachineModel {
   // Probability of a spurious abort per transactional access right now.
   double SpuriousAbortProbNow() const;
 
-  // True when the current thread count exceeds the modeled hardware contexts, i.e. the
-  // harness should inject preemption.
-  bool OversubscribedNow() const;
-
  private:
   MachineModel() = default;
 

@@ -4,14 +4,15 @@
 //  * Memory handed out comes from 2 MiB-aligned slabs that are NEVER unmapped, so a
 //    speculative (doomed) reader inside a software-HTM segment can dereference a stale
 //    node pointer without faulting — the same safety HTM isolation provides on silicon.
-//  * An object never spans a 2 MiB boundary (keeps slab-directory and HeapRegistry
-//    queries single-region).
+//  * An object never spans a 2 MiB boundary (keeps slab-directory queries
+//    single-region).
 //  * Freed objects are poisoned with kPoisonByte so tests and assertions can detect
 //    use-after-free values deterministically.
 //  * A slab serves exactly ONE size class forever, so any interior pointer resolves to
 //    its block base with pure arithmetic: directory[addr >> 21] yields the class, the
 //    block index is a division, and a magic-word check answers liveness — no latch, no
-//    tree walk (the scan path's OwnsLive/UsableSize/OwningObject run latch-free).
+//    tree walk (the scan path's OwnsLive/UsableSize run latch-free; the scan resolves
+//    interior pointers by range containment against UsableSize).
 //
 // Scalability structure (front to back):
 //  * Per-thread magazines: each thread caches a small LIFO of free blocks per size
@@ -76,12 +77,6 @@ class PoolAllocator {
   // True if `ptr` was produced by this allocator and is currently live. Latch-free:
   // slab-directory arithmetic plus an acquire load of the block's magic word.
   bool OwnsLive(const void* ptr) const;
-
-  // Latch-free interior-pointer resolution. Returns false when `addr` does not fall
-  // inside pool slab memory (caller should consult the foreign-range registry).
-  // Returns true with *base set to the owning live block's user base, or to 0 when
-  // the address hits a dead block, a block header, or a slab tail remnant.
-  bool ResolvePoolAddress(uintptr_t addr, uintptr_t* base) const;
 
   // Drains the calling thread's magazines back to the shared free lists. Runs
   // automatically at thread exit (registry exit-hook chain + TLS destructor); public
@@ -153,6 +148,11 @@ class PoolAllocator {
   void DirectoryInsert(uintptr_t slab, std::size_t class_index);
   // Returns class_index for the slab containing addr, or kClassCount on miss.
   std::size_t DirectoryLookup(uintptr_t addr) const;
+  // Latch-free interior-pointer resolution (OwnsLive's arithmetic). Returns false when
+  // `addr` does not fall inside pool slab memory. Returns true with *base set to the
+  // owning live block's user base, or to 0 when the address hits a dead block, a
+  // block header, or a slab tail remnant.
+  bool ResolvePoolAddress(uintptr_t addr, uintptr_t* base) const;
 
   // Shared-layer batch transfer, both under the class latch: Refill pops up to `want`
   // free (or freshly carved) blocks into `out`; Flush pushes `count` blocks back.

@@ -6,9 +6,7 @@
 #ifndef STACKTRACK_RUNTIME_RAND_H_
 #define STACKTRACK_RUNTIME_RAND_H_
 
-#include <cmath>
 #include <cstdint>
-#include <vector>
 
 namespace stacktrack::runtime {
 
@@ -66,42 +64,6 @@ class Xorshift128 {
  private:
   uint64_t s0_ = 0;
   uint64_t s1_ = 0;
-};
-
-// Zipf-distributed keys over [0, n). Used by skewed benchmark workloads; the CDF table
-// is built once, draws are O(log n) via binary search.
-class ZipfGenerator {
- public:
-  ZipfGenerator(uint64_t n, double theta, uint64_t seed = 42) : rng_(seed) {
-    cdf_.reserve(n);
-    double sum = 0.0;
-    for (uint64_t i = 1; i <= n; ++i) {
-      sum += 1.0 / std::pow(static_cast<double>(i), theta);
-      cdf_.push_back(sum);
-    }
-    for (double& c : cdf_) {
-      c /= sum;
-    }
-  }
-
-  uint64_t Next() {
-    const double u = rng_.NextDouble();
-    uint64_t lo = 0;
-    uint64_t hi = cdf_.size();
-    while (lo < hi) {
-      const uint64_t mid = lo + (hi - lo) / 2;
-      if (cdf_[mid] < u) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    return lo;
-  }
-
- private:
-  Xorshift128 rng_;
-  std::vector<double> cdf_;
 };
 
 }  // namespace stacktrack::runtime

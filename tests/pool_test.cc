@@ -1,4 +1,4 @@
-// Unit tests for the type-stable pool allocator and the heap range registry.
+// Unit tests for the type-stable pool allocator.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -7,7 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "runtime/heap_registry.h"
 #include "runtime/pool_alloc.h"
 
 namespace stacktrack::runtime {
@@ -133,72 +132,29 @@ TEST(PoolTest, ConcurrentAllocFreeKeepsAccounting) {
   EXPECT_EQ(after.live_objects, before.live_objects);
 }
 
-TEST(HeapRegistryTest, ExactAndInteriorLookup) {
-  auto& registry = HeapRegistry::Instance();
+// OwnsLive is the slab directory's arithmetic: true only at a live block's user base.
+// The header byte before it, an interior byte, the first byte past the usable size
+// and a freed block all answer false, in every size class.
+TEST(PoolTest, OwnsLiveOnlyAtALiveBlockBase) {
   auto& pool = PoolAllocator::Instance();
-  void* p = pool.Alloc(100);  // pool memory: resolved via the slab directory
-  const uintptr_t base = reinterpret_cast<uintptr_t>(p);
-  const std::size_t usable = pool.UsableSize(p);
-  EXPECT_EQ(registry.OwningObject(base), base);
-  EXPECT_EQ(registry.OwningObject(base + 1), base);
-  EXPECT_EQ(registry.OwningObject(base + usable - 1), base);
-  EXPECT_EQ(registry.OwningObject(base + usable), 0u);  // one past the end
-  EXPECT_TRUE(registry.SameObject(base, base + 50));
-  pool.Free(p);
-  EXPECT_EQ(registry.OwningObject(base + 1), 0u);  // dead magic after free
-}
-
-TEST(HeapRegistryTest, SlabDirectoryAgreesWithForeignMapOnPoolRanges) {
-  auto& registry = HeapRegistry::Instance();
-  auto& pool = PoolAllocator::Instance();
-  // Mirror live pool blocks into the foreign map, then walk every byte: the latch-free
-  // slab-directory path (OwningObject) and the latched map path (OwningForeign) must
-  // resolve exact, interior, header, and one-past-the-end addresses identically.
-  std::vector<void*> blocks;
-  for (std::size_t size : {24u, 64u, 200u, 1024u, 4000u}) {
+  for (std::size_t size = 32; size <= 4096; size *= 2) {
+    std::vector<char*> blocks;
     for (int i = 0; i < 3; ++i) {
-      blocks.push_back(pool.Alloc(size));
+      blocks.push_back(static_cast<char*>(pool.Alloc(size)));
+    }
+    for (char* p : blocks) {
+      const std::size_t usable = pool.UsableSize(p);
+      ASSERT_GE(usable, size);
+      EXPECT_TRUE(pool.OwnsLive(p)) << "base, size " << size;
+      EXPECT_FALSE(pool.OwnsLive(p - 1)) << "header, size " << size;
+      EXPECT_FALSE(pool.OwnsLive(p + 1)) << "interior, size " << size;
+      EXPECT_FALSE(pool.OwnsLive(p + usable)) << "one past the end, size " << size;
+    }
+    for (char* p : blocks) {
+      pool.Free(p);
+      EXPECT_FALSE(pool.OwnsLive(p)) << "freed, size " << size;
     }
   }
-  for (void* p : blocks) {
-    registry.Insert(reinterpret_cast<uintptr_t>(p), pool.UsableSize(p));
-  }
-  for (void* p : blocks) {
-    const uintptr_t base = reinterpret_cast<uintptr_t>(p);
-    const std::size_t usable = pool.UsableSize(p);
-    for (std::size_t off = 0; off < usable; ++off) {
-      ASSERT_EQ(registry.OwningObject(base + off), base) << "directory, offset " << off;
-      ASSERT_EQ(registry.OwningForeign(base + off), base) << "map, offset " << off;
-    }
-    // The byte before the user base sits in this block's header: dead space to both.
-    EXPECT_EQ(registry.OwningObject(base - 1), 0u);
-    EXPECT_EQ(registry.OwningForeign(base - 1), 0u);
-    // One past the end must not round back into this block on either path.
-    EXPECT_NE(registry.OwningObject(base + usable), base);
-    EXPECT_NE(registry.OwningForeign(base + usable), base);
-  }
-  for (void* p : blocks) {
-    registry.Erase(reinterpret_cast<uintptr_t>(p));
-    pool.Free(p);
-    EXPECT_EQ(registry.OwningObject(reinterpret_cast<uintptr_t>(p) + 1), 0u);
-  }
-}
-
-TEST(HeapRegistryTest, ManualRanges) {
-  auto& registry = HeapRegistry::Instance();
-  registry.Insert(0x40000000, 128);
-  registry.Insert(0x40000100, 64);
-  EXPECT_EQ(registry.OwningObject(0x40000000 + 64), 0x40000000u);
-  EXPECT_EQ(registry.OwningObject(0x40000100 + 10), 0x40000100u);
-  EXPECT_EQ(registry.OwningObject(0x40000000 + 128), 0u);  // gap between the two
-  registry.Erase(0x40000000);
-  registry.Erase(0x40000100);
-  EXPECT_EQ(registry.OwningObject(0x40000000 + 64), 0u);
-}
-
-TEST(HeapRegistryTest, EraseOfUnknownBaseIsNoOp) {
-  HeapRegistry::Instance().Erase(0xdeadb000);  // must not crash or corrupt
-  EXPECT_EQ(HeapRegistry::Instance().OwningObject(0xdeadb000), 0u);
 }
 
 }  // namespace

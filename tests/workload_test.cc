@@ -1,6 +1,6 @@
 // Workload-engine unit suite (bench/workload/): generator determinism and skew,
-// histogram bucket geometry and percentile extraction, scenario presets, and the
-// shared ST_BENCH_* environment parser.
+// histogram bucket geometry and percentile extraction, scenario presets, the
+// runner's counter source, and the shared ST_BENCH_* environment parser.
 //
 // These tests pin the contracts the benchmark layer leans on:
 //   * a KeyStream is a pure function of (seed, thread index, draw index) — replaying
@@ -10,16 +10,22 @@
 //   * histogram buckets contain the values mapped into them, values below the
 //     sub-bucket width are exact, and merging per-thread histograms is identical to
 //     recording everything into one (the runner's post-join merge step);
-//   * EnvConfig::Load parses exactly the knobs bench/harness.h used to hand-parse.
+//   * the runner's Stats delta comes from the domain, so every scheme reports it;
+//   * EnvConfig parses the ST_BENCH_* knobs and rejects any value that is not wholly
+//     a number in range (these cases only parse; none starts a worker).
 #include <cstdlib>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "bench/workload/generator.h"
 #include "bench/workload/histogram.h"
 #include "bench/workload/runner.h"
 #include "bench/workload/scenario.h"
+#include "ds/list.h"
 #include "gtest/gtest.h"
+#include "runtime/thread_registry.h"
+#include "smr/hazard.h"
 
 namespace stacktrack::bench::workload {
 namespace {
@@ -318,6 +324,25 @@ TEST(ScenarioTest, OpKindNamesAreStable) {
   EXPECT_STREQ(OpKindName(OpKind::kScan), "scan");
 }
 
+// ---- Runner ---------------------------------------------------------------------
+
+// The window's Stats delta comes from domain.Snapshot(), so a scheme that keeps its
+// counters domain-side (hazard) reports its retires too.
+TEST(RunnerTest, StatsDeltaComesFromTheDomain) {
+  Scenario scenario;
+  scenario.mix.insert_percent = 50;
+  scenario.mix.remove_percent = 50;
+  scenario.keys.key_range = 64;
+  scenario.prefill = 32;
+  scenario.threads = 1;
+  scenario.duration_ms = 20;
+  scenario.measure_latency = false;
+  ds::LockFreeList<smr::HazardSmr> list;
+  const RunResult result = RunMapScenario<smr::HazardSmr>(list, scenario);
+  EXPECT_GT(result.ops_by_kind[static_cast<uint32_t>(OpKind::kRemove)], 0u);
+  EXPECT_GT(result.stats.retires, 0u);
+}
+
 // ---- EnvConfig ------------------------------------------------------------------
 
 class EnvConfigTest : public ::testing::Test {
@@ -357,6 +382,52 @@ TEST_F(EnvConfigTest, DecimalSeedAndSingleThread) {
   const EnvConfig env = EnvConfig::Load();
   EXPECT_EQ(env.seed, 42u);
   EXPECT_EQ(env.threads, (std::vector<uint32_t>{6}));
+}
+
+// Each case only parses: a rejected value must name its variable in the error.
+TEST_F(EnvConfigTest, RejectsValuesNotWhollyANumberInRange) {
+  const std::pair<const char*, const char*> bad[] = {
+      {"ST_BENCH_THREADS", "abc"}, {"ST_BENCH_THREADS", ""},     {"ST_BENCH_THREADS", "0"},
+      {"ST_BENCH_THREADS", "65"},  {"ST_BENCH_THREADS", "-1"},   {"ST_BENCH_THREADS", "4x"},
+      {"ST_BENCH_THREADS", " 4"},  {"ST_BENCH_THREADS", "1,,2"}, {"ST_BENCH_THREADS", "1,"},
+      {"ST_BENCH_THREADS", "0x4"}, {"ST_BENCH_THREADS", "99999999999999999999"},
+      {"ST_BENCH_MS", "abc"},      {"ST_BENCH_MS", ""},          {"ST_BENCH_MS", "0"},
+      {"ST_BENCH_MS", "-5"},       {"ST_BENCH_MS", "10ms"},      {"ST_BENCH_MS", "4294967296"},
+      {"ST_BENCH_SEED", "abc"},    {"ST_BENCH_SEED", "-1"},      {"ST_BENCH_SEED", "12 "},
+  };
+  for (const auto& [name, value] : bad) {
+    setenv(name, value, 1);
+    EnvConfig env{150, {1}, 0, false};
+    std::string error;
+    EXPECT_FALSE(EnvConfig::Parse(&env, &error)) << name << "=\"" << value << '"';
+    EXPECT_NE(error.find(name), std::string::npos) << error;
+    unsetenv(name);
+  }
+  setenv("ST_BENCH_THREADS", "1,64", 1);
+  setenv("ST_BENCH_MS", "1", 1);
+  EnvConfig env{150, {1}, 0, false};
+  std::string error;
+  ASSERT_TRUE(EnvConfig::Parse(&env, &error)) << error;
+  EXPECT_EQ(env.threads, (std::vector<uint32_t>{1, 64}));
+  EXPECT_EQ(env.duration_ms, 1u);
+}
+
+// The --threads= / --ms= flags of ycsb_kv and robustness_lag share these parsers.
+TEST(FlagParseTest, ThreadCountAndWindowBounds) {
+  uint32_t value = 0;
+  EXPECT_TRUE(ParseThreadCount("1", &value));
+  EXPECT_EQ(value, 1u);
+  const std::string max = std::to_string(runtime::kMaxThreads);
+  EXPECT_TRUE(ParseThreadCount(max.c_str(), &value));
+  EXPECT_EQ(value, runtime::kMaxThreads);
+  EXPECT_FALSE(ParseThreadCount(std::to_string(runtime::kMaxThreads + 1).c_str(), &value));
+  EXPECT_FALSE(ParseThreadCount("0", &value));
+  EXPECT_FALSE(ParseThreadCount("-1", &value));
+  EXPECT_FALSE(ParseThreadCount("two", &value));
+  EXPECT_TRUE(ParseDurationMs("4294967295", &value));
+  EXPECT_EQ(value, 4294967295u);
+  EXPECT_FALSE(ParseDurationMs("0", &value));
+  EXPECT_FALSE(ParseDurationMs("1.5", &value));
 }
 
 TEST_F(EnvConfigTest, ApplyStampsScenario) {
