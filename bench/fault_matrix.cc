@@ -1,10 +1,12 @@
 // Fault matrix: list throughput and peak unreclaimed memory per SMR scheme while the
-// fault injector sweeps forced transaction-abort and thread-stall rates. The abort
-// axis only affects StackTrack (the transactional scheme); the stall axis hurts every
-// scheme, but differently: epoch reclamation backs up behind a stalled reader, while
-// hazard pointers and StackTrack only pin a bounded set of nodes. Stalls here are
-// bounded sleeps (payload microseconds), not gates — an indefinitely parked thread
-// would wedge the epoch scheme's quiescence wait forever by design.
+// sweep forces transaction aborts (the fault injector) and mid-operation thread
+// stalls (the preemption hook). The abort axis only affects StackTrack (the
+// transactional scheme); the stall axis hurts every scheme, but differently: epoch
+// reclamation backs up behind a stalled reader, while hazard pointers and StackTrack
+// only pin a bounded set of nodes. Stalls here are bounded sleeps of kStallUs,
+// drawn per traversal step from a thread-local RNG (runtime::ArmPreemption), so the
+// draw costs no shared write; an indefinitely parked thread would wedge the epoch
+// scheme's quiescence wait forever by design.
 //
 // Each cell prefills its list fault-free, then arms the faults and takes the
 // live-object baseline, so the peak excess counts only what the run itself leaves
@@ -22,6 +24,7 @@
 #include "ds/list.h"
 #include "runtime/fault.h"
 #include "runtime/pool_alloc.h"
+#include "runtime/preempt.h"
 #include "smr/epoch.h"
 #include "smr/hazard.h"
 #include "smr/stacktrack_smr.h"
@@ -79,8 +82,7 @@ Cell Point(workload::Scenario scenario, double abort_prob, double stall_prob,
     fault::ArmProbability(fault::Site::kSoftTxAbort, abort_prob, scenario.keys.seed);
   }
   if (stall_prob > 0.0) {
-    fault::ArmProbability(fault::Site::kThreadStall, stall_prob,
-                          scenario.keys.seed ^ 0x5747, /*payload=*/stall_us);
+    runtime::ArmPreemption(stall_prob, stall_us);  // the runner disarms it at the end
   }
   Cell cell;
   {
@@ -100,12 +102,13 @@ int Main() {
       env, "Fault matrix: throughput / peak unreclaimed under injected faults",
       "list, 1K nodes, 20% mutations; cells are Mops/s : peak excess objects");
   constexpr double kAbortProbs[] = {0.0, 0.05, 0.2};
-  constexpr double kStallProbs[] = {0.0, 0.001, 0.01};
+  // Per traversal step; a walk of the ~1,000-node list takes ~500 steps.
+  constexpr double kStallProbs[] = {0.0, 1e-5, 1e-4};
   constexpr uint32_t kStallUs = 500;
 
   for (const uint32_t threads : env.threads) {
     workload::Scenario scenario = workload::MapScenario(env, threads, 2000);
-    scenario.inject_preemption = false;  // the fault injector owns the preempt points here
+    scenario.inject_preemption = false;  // the stall axis owns the preemption hook here
 
     std::printf("\n-- %u thread(s) --\n", threads);
     std::printf("%8s %8s | %18s %18s %18s\n", "abort_p", "stall_p", "Hazards", "Epoch",
@@ -129,7 +132,7 @@ int Main() {
             std::printf(" %9s:%-8s", "-", "-");
           }
         };
-        std::printf("%8.3f %8.3f |", abort_prob, stall_prob);
+        std::printf("%8.3f %8.1e |", abort_prob, stall_prob);
         print_cell(hp, abort_prob == 0.0);
         print_cell(ep, abort_prob == 0.0);
         print_cell(st, true);

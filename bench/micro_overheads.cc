@@ -2,18 +2,14 @@
 // the hazard-pointer publish+fence, the epoch announcement, the StackTrack split
 // checkpoint (a counter increment in the common case), register exposure at segment
 // commit, one reclaimer-side thread inspection, and the cost of one hop of a list
-// traversal with and without StackTrack's instrumentation.
+// traversal under every registered scheme.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 
 #include "core/free_proc.h"
-#include "core/split_engine.h"
 #include "ds/list.h"
-#include "smr/epoch.h"
-#include "smr/hazard.h"
-#include "smr/leaky.h"
-#include "smr/stacktrack_smr.h"
+#include "smr/registry.h"
 
 namespace stacktrack {
 namespace {
@@ -47,11 +43,11 @@ void BM_StCheckpointNoCommit(benchmark::State& state) {
   config.max_split_limit = 1u << 30;
   smr::StackTrackSmr::Domain domain(config);
   auto& h = domain.AcquireHandle();
-  ST_OP_BEGIN(h, 0);
+  SMR_OP_BEGIN(h, 0);
   for (auto _ : state) {
-    ST_CHECKPOINT(h);  // common case: one private counter increment + compare
+    SMR_CHECKPOINT(h);  // common case: one private counter increment + compare
   }
-  h.OpEnd();
+  SMR_OP_END(h);
 }
 BENCHMARK(BM_StCheckpointNoCommit);
 
@@ -62,11 +58,11 @@ void BM_StSegmentCommitAndRearm(benchmark::State& state) {
   config.max_split_limit = 1;
   smr::StackTrackSmr::Domain domain(config);
   auto& h = domain.AcquireHandle();
-  ST_OP_BEGIN(h, 1);
+  SMR_OP_BEGIN(h, 1);
   for (auto _ : state) {
-    ST_CHECKPOINT(h);  // expose registers + commit + begin next segment
+    SMR_CHECKPOINT(h);  // expose registers + commit + begin next segment
   }
-  h.OpEnd();
+  SMR_OP_END(h);
 }
 BENCHMARK(BM_StSegmentCommitAndRearm);
 
@@ -75,8 +71,8 @@ void BM_StOpBrackets(benchmark::State& state) {
   smr::StackTrackSmr::Domain domain;
   auto& h = domain.AcquireHandle();
   for (auto _ : state) {
-    ST_OP_BEGIN(h, 2);
-    ST_OP_END(h);
+    SMR_OP_BEGIN(h, 2);
+    SMR_OP_END(h);
   }
 }
 BENCHMARK(BM_StOpBrackets);
@@ -98,8 +94,10 @@ BENCHMARK(BM_InspectThread);
 // One hop of a list traversal: Contains of a key past the last node walks all
 // range(0) nodes, and `per_hop` is the time per node visited (the op brackets are
 // amortized over the walk). LeakySmr is the uninstrumented baseline — plain acquire
-// loads — and StackTrackSmr pays what a real traversal pays per hop: transactional
-// loads, checkpoints and its share of segment commits.
+// loads; each other scheme pays what its traversal pays per hop: the hazard publish
+// and fence, DTA's anchor hook, and for StackTrack transactional loads, checkpoints
+// and its share of segment commits. One instance per registered scheme, so a hot path
+// that gains a call shows up here.
 template <typename Smr>
 void BM_ListHop(benchmark::State& state) {
   runtime::ThreadScope scope;
@@ -119,7 +117,11 @@ void BM_ListHop(benchmark::State& state) {
                          benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK_TEMPLATE(BM_ListHop, smr::LeakySmr)->Arg(256);
+BENCHMARK_TEMPLATE(BM_ListHop, smr::EpochSmr)->Arg(256);
+BENCHMARK_TEMPLATE(BM_ListHop, smr::HazardSmr)->Arg(256);
+BENCHMARK_TEMPLATE(BM_ListHop, smr::DtaSmr)->Arg(256);
 BENCHMARK_TEMPLATE(BM_ListHop, smr::StackTrackSmr)->Arg(256);
+BENCHMARK_TEMPLATE(BM_ListHop, smr::HyalineSmr)->Arg(256);
 
 }  // namespace
 }  // namespace stacktrack

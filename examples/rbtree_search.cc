@@ -193,52 +193,27 @@ uint64_t RbTreeSearch(StContext& ctx, RbNode* root, uint64_t key) {
   TrackedFrame<2> frame(ctx);
   auto node = frame.ptr<RbNode*>(0);
   auto box = frame.ptr<ValueBox*>(1);
-  ST_OP_BEGIN(ctx, kOpRbSearch);  // SPLIT_INIT + SPLIT_START
+  SMR_OP_BEGIN(ctx, kOpRbSearch);  // SPLIT_INIT + SPLIT_START
   node = root;
   while (node.get() != nullptr) {
-    ST_CHECKPOINT(ctx);
+    SMR_CHECKPOINT(ctx);
     const uint64_t node_key = ctx.Load(node->key);
     if (node_key == key) {
-      ST_CHECKPOINT(ctx);
+      SMR_CHECKPOINT(ctx);
       box = ctx.Load(node->box);
       const uint64_t payload = ctx.Load(box->payload);
-      ST_OP_END(ctx);  // SPLIT_COMMIT
+      SMR_OP_END(ctx);  // SPLIT_COMMIT
       return payload;
     }
     if (key < node_key) {
-      ST_CHECKPOINT(ctx);
+      SMR_CHECKPOINT(ctx);
       node = ctx.Load(node->left);
     } else {
-      ST_CHECKPOINT(ctx);
+      SMR_CHECKPOINT(ctx);
       node = ctx.Load(node->right);
     }
   }
-  ST_OP_END(ctx);
-  return 0;
-}
-
-// The same search through smr::OpScope: the operation bracket is RAII (no ST_OP_END
-// before every return), checkpoints are a method call. The trade is the HTM fast
-// path — an RAII constructor cannot host a transaction begin point (its setjmp frame
-// dies on return), so OpScope runs the op as Algorithm 4's software slow-path
-// segments. Handy where early returns make macro discipline error-prone.
-uint64_t RbTreeSearchScoped(StContext& ctx, RbNode* root, uint64_t key) {
-  TrackedFrame<2> frame(ctx);
-  auto node = frame.ptr<RbNode*>(0);
-  auto box = frame.ptr<ValueBox*>(1);
-  stacktrack::smr::OpScope op(ctx, kOpRbSearch);
-  node = root;
-  while (node.get() != nullptr) {
-    op.checkpoint();
-    const uint64_t node_key = ctx.Load(node->key);
-    if (node_key == key) {
-      op.checkpoint();
-      box = ctx.Load(node->box);
-      return ctx.Load(box->payload);  // ~OpScope commits on every exit path
-    }
-    op.checkpoint();
-    node = key < node_key ? ctx.Load(node->left) : ctx.Load(node->right);
-  }
+  SMR_OP_END(ctx);
   return 0;
 }
 
@@ -268,13 +243,7 @@ int main() {
         stacktrack::runtime::Xorshift128 rng(0x3b + r);
         uint64_t local = 0;
         while (!stop.load(std::memory_order_relaxed)) {
-          // Mostly the macro form (HTM fast path); a slice through OpScope to show
-          // both entry points coexisting against the same mutator.
-          if (rng.NextBool(0.125)) {
-            RbTreeSearchScoped(ctx, tree.root(), rng.NextBounded(100000));
-          } else {
-            RbTreeSearch(ctx, tree.root(), rng.NextBounded(100000));
-          }
+          RbTreeSearch(ctx, tree.root(), rng.NextBounded(100000));
           ++local;
         }
         searches.fetch_add(local, std::memory_order_relaxed);

@@ -163,19 +163,6 @@ class StContext {
 
   bool in_slow_segment() const { return slow_segment_; }
 
-  // Runs every remaining segment of the current operation on the software slow path.
-  // smr::OpScope calls this right after OpBegin: an RAII entry point cannot host a
-  // transactional begin point (setjmp/xbegin must be expanded in a frame that
-  // outlives the segment — see core/split_engine.h), and the slow path is the one
-  // segment flavour that needs no begin point. Shares the forced-slow machinery of
-  // StConfig::forced_slow_fraction, including its slow_ops accounting.
-  void ForceSlowSegments() {
-    if (!op_forced_slow_) {
-      op_forced_slow_ = true;
-      ++stats.slow_ops;
-    }
-  }
-
   // ---- Instrumented shared-memory access -------------------------------------------
   // Load (and Protect, which is a Load) is forced inline so that a transactional read
   // inside an operation body is the htm layer's straight-line fast path; the

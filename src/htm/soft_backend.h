@@ -26,7 +26,7 @@
 //    aborts are injected with the model's oversubscription probability.
 //
 // Aborts transfer control back to the begin point with longjmp; the split engine owns
-// rolling back the tracked frame (see core/split_engine.h for the contract).
+// rolling back the tracked frame (see the SMR_* macros in smr/smr.h for the contract).
 //
 // Code shape: TxLoadWord is forced inline into every instrumented operation, so a
 // read of a fresh or cached line is straight-line code with no call. Everything else

@@ -34,7 +34,7 @@ void DtaSmr::Handle::AnchorHop(uint64_t key) {
 
 void DtaSmr::Handle::Retire(void* ptr, uint64_t key) {
   retired_.push_back(Retired{ptr, key, domain_->clock_.fetch_add(1, std::memory_order_acq_rel),
-                             /*stall_rounds=*/0});
+                             /*pinned_since_ns=*/0});
   domain_->total_retired_.fetch_add(1, std::memory_order_relaxed);
   trace::Emit(trace::Event::kRetire, 1);
   if (retired_.size() >= domain_->config_.batch_size) {
@@ -57,6 +57,7 @@ void DtaSmr::Domain::Scan(Handle& handle) {
   std::size_t kept = 0;
   uint64_t freed = 0;
   uint64_t quarantined = 0;
+  uint64_t now = 0;  // read once, at the first pinned node
   for (Handle::Retired& node : handle.retired_) {
     bool pinned = false;
     for (uint32_t tid = 0; tid < watermark && !pinned; ++tid) {
@@ -77,13 +78,21 @@ void DtaSmr::Domain::Scan(Handle& handle) {
     if (!pinned) {
       pool.Free(node.ptr);
       ++freed;
-    } else if (++node.stall_rounds >= config_.stall_rounds) {
-      // Freezing substitute: a stalled operation has pinned this node across many
-      // scans; quarantine it permanently so reclamation stays non-blocking.
-      ++quarantined;
-    } else {
-      handle.retired_[kept++] = node;
+      continue;
     }
+    if (now == 0) {
+      now = trace::NowNanos();
+    }
+    if (node.pinned_since_ns == 0) {
+      node.pinned_since_ns = now;
+    } else if (now - node.pinned_since_ns >= config_.stall_deadline_ns) {
+      // Freezing substitute: an operation has pinned this node past the deadline;
+      // park it until teardown so reclamation stays non-blocking.
+      handle.quarantine_.push_back(node.ptr);
+      ++quarantined;
+      continue;
+    }
+    handle.retired_[kept++] = node;
   }
   handle.retired_.resize(kept);
   total_freed_.fetch_add(freed, std::memory_order_relaxed);
@@ -101,6 +110,10 @@ DtaSmr::Domain::~Domain() {
       pool.Free(node.ptr);
     }
     handle.retired_.clear();
+    for (void* node : handle.quarantine_) {
+      pool.Free(node);
+    }
+    handle.quarantine_.clear();
   }
 }
 

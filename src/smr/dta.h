@@ -11,9 +11,11 @@
 //
 // Freezing substitute: the original recovers from stalled threads by freezing and
 // rebuilding the K-node window, which is specific to their list internals. Here a node
-// pinned by the same stalled operation for `stall_rounds` consecutive scans is moved
-// to a permanent quarantine (a bounded leak per stall) so reclamation of everything
-// else stays non-blocking. DESIGN.md documents this substitution.
+// still pinned `stall_deadline_ns` after the first scan that found it pinned moves to
+// its handle's quarantine, which only domain teardown frees, so reclamation of
+// everything else stays non-blocking. The deadline is a time, not a scan count: a
+// busy system scans often, and a count would mistake it for a stalled one. DESIGN.md
+// documents this substitution.
 #ifndef STACKTRACK_SMR_DTA_H_
 #define STACKTRACK_SMR_DTA_H_
 
@@ -24,52 +26,29 @@
 #include "core/stats.h"
 #include "runtime/cacheline.h"
 #include "runtime/thread_registry.h"
-#include "runtime/trace.h"
 #include "smr/smr.h"
 
 namespace stacktrack::smr {
 
 struct DtaSmr {
-  static constexpr bool kSplits = false;
-
   struct Config {
     uint32_t anchor_interval = 64;  // traversal hops between published anchors
     uint32_t batch_size = 128;      // retired nodes buffered per thread before a scan
-    uint32_t stall_rounds = 64;     // scans pinned by one stalled op before quarantine
+    // A node pinned this long is quarantined; the stall watchdog's deadline
+    // (core::StConfig::watchdog_deadline_ns).
+    uint64_t stall_deadline_ns = 50'000'000;
   };
 
   class Domain;
 
-  class Handle : public NoSplitOps, public PlainRegs {
+  class Handle : public PlainHandle {
    public:
-    static constexpr bool kSplits = false;
-
     void OpBegin(uint32_t);
     void OpEnd();
-
-    template <typename T>
-    T Load(const std::atomic<T>& src) {
-      return src.load(std::memory_order_acquire);
-    }
-    template <typename T>
-    void Store(std::atomic<T>& dst, T value) {
-      dst.store(value, std::memory_order_release);
-    }
-    template <typename T>
-    bool Cas(std::atomic<T>& dst, T expected, T desired) {
-      return dst.compare_exchange_strong(expected, desired, std::memory_order_acq_rel);
-    }
-    template <typename T>
-    T Protect(const std::atomic<T>& src, uint32_t) {
-      return Load(src);
-    }
 
     // Traversal hook: called once per node visited with that node's key. Publishes a
     // new anchor (with the fence) every `anchor_interval` hops.
     void AnchorHop(uint64_t key);
-
-    template <typename T>
-    void ProtectRaw(uint32_t, T) {}
 
     // `key` is the retired node's key, needed for the anchor comparison.
     void Retire(void* ptr, uint64_t key = 0);
@@ -84,42 +63,31 @@ struct DtaSmr {
       void* ptr;
       uint64_t key;
       uint64_t stamp;
-      uint32_t stall_rounds;
+      uint64_t pinned_since_ns;  // first scan that found it pinned; 0 before
     };
     std::vector<Retired> retired_;
+    std::vector<void*> quarantine_;  // freed only by ~Domain
   };
 
   template <uint32_t N>
-  using Frame = PlainFrame<Handle, N>;
+  using Frame = PlainFrame<N>;
 
   class Domain {
    public:
+    Domain() : Domain(Config{}) {}
     explicit Domain(const Config& config) : config_(config) {}
-    // Positional form kept for existing callers; fields as in Config.
-    explicit Domain(uint32_t anchor_interval = 64, uint32_t batch_size = 128,
-                    uint32_t stall_rounds = 64)
-        : Domain(Config{anchor_interval, batch_size, stall_rounds}) {}
     ~Domain();
 
     Handle& AcquireHandle();
 
-    uint64_t total_freed() const { return total_freed_.load(std::memory_order_relaxed); }
-    uint64_t total_quarantined() const {
-      return total_quarantined_.load(std::memory_order_relaxed);
-    }
-
-    const Config& config() const { return config_; }
     core::Stats Snapshot() const {
       core::Stats s{};
       s.retires = total_retired_.load(std::memory_order_relaxed);
       s.frees = total_freed_.load(std::memory_order_relaxed);
-      // Quarantined nodes are permanently withheld from the pool — the same
-      // "candidate parked, never freed" role stale_free_drops plays for StackTrack.
+      // Quarantined nodes are withheld from the pool until teardown — the same
+      // "candidate parked, not freed" role stale_free_drops plays for StackTrack.
       s.stale_free_drops = total_quarantined_.load(std::memory_order_relaxed);
       return s;
-    }
-    std::vector<runtime::trace::MergedRecord> Trace() const {
-      return runtime::trace::CollectMerged();
     }
 
    private:

@@ -18,50 +18,25 @@
 #include "core/stats.h"
 #include "runtime/cacheline.h"
 #include "runtime/thread_registry.h"
-#include "runtime/trace.h"
 #include "smr/smr.h"
 
 namespace stacktrack::smr {
 
 struct EpochSmr {
-  static constexpr bool kSplits = false;
-
   struct Config {
     uint32_t batch_size = 4;  // retired nodes buffered per thread before a wait+free
   };
 
   class Domain;
 
-  class Handle : public NoSplitOps, public PlainRegs {
+  class Handle : public PlainHandle {
    public:
-    static constexpr bool kSplits = false;
-
     void OpBegin(uint32_t);
     // Reclaims the limbo batch here (at the quiescent point) once it reaches the
     // batch size: waiting mid-operation could deadlock two reclaimers and would free
     // nodes the waiter itself still references.
     void OpEnd();
-
-    template <typename T>
-    T Load(const std::atomic<T>& src) {
-      return src.load(std::memory_order_acquire);
-    }
-    template <typename T>
-    void Store(std::atomic<T>& dst, T value) {
-      dst.store(value, std::memory_order_release);
-    }
-    template <typename T>
-    bool Cas(std::atomic<T>& dst, T expected, T desired) {
-      return dst.compare_exchange_strong(expected, desired, std::memory_order_acq_rel);
-    }
-    template <typename T>
-    T Protect(const std::atomic<T>& src, uint32_t) {
-      return Load(src);
-    }
-    template <typename T>
-    void ProtectRaw(uint32_t, T) {}
     void Retire(void* ptr, uint64_t key = 0);
-    void AnchorHop(uint64_t) {}
 
    private:
     friend class Domain;
@@ -71,20 +46,16 @@ struct EpochSmr {
   };
 
   template <uint32_t N>
-  using Frame = PlainFrame<Handle, N>;
+  using Frame = PlainFrame<N>;
 
   class Domain {
    public:
+    Domain() : Domain(Config{}) {}
     explicit Domain(const Config& config) : config_(config) {}
-    // Positional form kept for existing callers; `batch_size` as in Config.
-    explicit Domain(uint32_t batch_size = 4) : Domain(Config{batch_size}) {}
     ~Domain();
 
     Handle& AcquireHandle();
 
-    uint64_t total_freed() const { return total_freed_.load(std::memory_order_relaxed); }
-
-    const Config& config() const { return config_; }
     // Racy snapshot mapped onto the shared counter shape: ops from the per-thread
     // announcement counters, retires/frees from the domain totals.
     core::Stats Snapshot() const {
@@ -96,9 +67,6 @@ struct EpochSmr {
         s.ops += announcements_[tid].value.ops.load(std::memory_order_relaxed);
       }
       return s;
-    }
-    std::vector<runtime::trace::MergedRecord> Trace() const {
-      return runtime::trace::CollectMerged();
     }
 
    private:

@@ -25,13 +25,11 @@
 #include "core/stats.h"
 #include "runtime/cacheline.h"
 #include "runtime/thread_registry.h"
-#include "runtime/trace.h"
 #include "smr/smr.h"
 
 namespace stacktrack::smr {
 
 struct HazardSmr {
-  static constexpr bool kSplits = false;
   static constexpr uint32_t kSlotsPerThread = 40;  // skip-list: 2 per level + traversal
 
   struct Config {
@@ -40,25 +38,9 @@ struct HazardSmr {
 
   class Domain;
 
-  class Handle : public NoSplitOps, public PlainRegs {
+  class Handle : public PlainHandle {
    public:
-    static constexpr bool kSplits = false;
-
-    void OpBegin(uint32_t) {}
     void OpEnd();  // clears the hazard row so idle threads pin nothing
-
-    template <typename T>
-    T Load(const std::atomic<T>& src) {
-      return src.load(std::memory_order_acquire);
-    }
-    template <typename T>
-    void Store(std::atomic<T>& dst, T value) {
-      dst.store(value, std::memory_order_release);
-    }
-    template <typename T>
-    bool Cas(std::atomic<T>& dst, T expected, T desired) {
-      return dst.compare_exchange_strong(expected, desired, std::memory_order_acq_rel);
-    }
 
     // Publish-validate: load the source, publish the hazard, fence, re-load; retry
     // until the source is stable across the publication. Returns the raw loaded word
@@ -87,7 +69,6 @@ struct HazardSmr {
     }
 
     void Retire(void* ptr, uint64_t key = 0);
-    void AnchorHop(uint64_t) {}
 
    private:
     friend class Domain;
@@ -108,20 +89,16 @@ struct HazardSmr {
   };
 
   template <uint32_t N>
-  using Frame = PlainFrame<Handle, N>;
+  using Frame = PlainFrame<N>;
 
   class Domain {
    public:
+    Domain() : Domain(Config{}) {}
     explicit Domain(const Config& config) : config_(config) {}
-    // Positional form kept for existing callers; `scan_threshold` as in Config.
-    explicit Domain(uint32_t scan_threshold = 64) : Domain(Config{scan_threshold}) {}
     ~Domain();
 
     Handle& AcquireHandle();
 
-    uint64_t total_freed() const { return total_freed_.load(std::memory_order_relaxed); }
-
-    const Config& config() const { return config_; }
     core::Stats Snapshot() const {
       core::Stats s{};
       s.retires = total_retired_.load(std::memory_order_relaxed);
@@ -129,9 +106,6 @@ struct HazardSmr {
       s.scan_calls = total_scans_.load(std::memory_order_relaxed);
       s.guard_slot_overflows = slot_overflows_.load(std::memory_order_relaxed);
       return s;
-    }
-    std::vector<runtime::trace::MergedRecord> Trace() const {
-      return runtime::trace::CollectMerged();
     }
 
    private:

@@ -31,7 +31,7 @@ void HyalineSmr::Handle::Retire(void* ptr, uint64_t) {
   pending_.push_back(ptr);
   domain_->total_retired_.fetch_add(1, std::memory_order_relaxed);
   trace::Emit(trace::Event::kRetire, 1);
-  if (pending_.size() < domain_->config_.batch_size) {
+  if (pending_.size() < kBatchSize) {
     return;
   }
   auto* batch = new Domain::Batch;

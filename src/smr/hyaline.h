@@ -48,47 +48,20 @@
 #include "runtime/barrier.h"
 #include "runtime/cacheline.h"
 #include "runtime/thread_registry.h"
-#include "runtime/trace.h"
 #include "smr/smr.h"
 
 namespace stacktrack::smr {
 
 struct HyalineSmr {
-  static constexpr bool kSplits = false;
-
-  struct Config {
-    uint32_t batch_size = 8;  // retired nodes accumulated per inserted batch
-  };
+  static constexpr uint32_t kBatchSize = 8;  // retired nodes per inserted batch
 
   class Domain;
 
-  class Handle : public NoSplitOps, public PlainRegs {
+  class Handle : public PlainHandle {
    public:
-    static constexpr bool kSplits = false;
-
     void OpBegin(uint32_t);  // enter: count +1, capture the entry era
     void OpEnd();            // leave: count -1, drop refs from in-window batches
-
-    template <typename T>
-    T Load(const std::atomic<T>& src) {
-      return src.load(std::memory_order_acquire);
-    }
-    template <typename T>
-    void Store(std::atomic<T>& dst, T value) {
-      dst.store(value, std::memory_order_release);
-    }
-    template <typename T>
-    bool Cas(std::atomic<T>& dst, T expected, T desired) {
-      return dst.compare_exchange_strong(expected, desired, std::memory_order_acq_rel);
-    }
-    template <typename T>
-    T Protect(const std::atomic<T>& src, uint32_t) {
-      return Load(src);
-    }
-    template <typename T>
-    void ProtectRaw(uint32_t, T) {}
     void Retire(void* ptr, uint64_t key = 0);
-    void AnchorHop(uint64_t) {}
 
    private:
     friend class Domain;
@@ -99,20 +72,14 @@ struct HyalineSmr {
   };
 
   template <uint32_t N>
-  using Frame = PlainFrame<Handle, N>;
+  using Frame = PlainFrame<N>;
 
   class Domain {
    public:
-    explicit Domain(const Config& config) : config_(config) {}
-    // Positional form kept for symmetry with the other schemes' Domains.
-    explicit Domain(uint32_t batch_size = 8) : Domain(Config{batch_size}) {}
     ~Domain();
 
     Handle& AcquireHandle();
 
-    uint64_t total_freed() const { return total_freed_.load(std::memory_order_relaxed); }
-
-    const Config& config() const { return config_; }
     // Racy snapshot mapped onto the shared counter shape, like the other schemes.
     core::Stats Snapshot() const {
       core::Stats s{};
@@ -123,14 +90,6 @@ struct HyalineSmr {
         s.ops += ops_[tid].value.load(std::memory_order_relaxed);
       }
       return s;
-    }
-    std::vector<runtime::trace::MergedRecord> Trace() const {
-      return runtime::trace::CollectMerged();
-    }
-
-    // Threads currently inside an operation (the packed count). Test hook.
-    uint32_t active_threads() const {
-      return static_cast<uint32_t>(word_.load(std::memory_order_acquire) >> kRefShift);
     }
 
    private:
@@ -162,7 +121,6 @@ struct HyalineSmr {
     void FreeBatch(Batch* batch);     // unlink under latch, then release
     void ReleaseBatch(Batch* batch);  // free nodes + control block (no latch)
 
-    const Config config_;
     std::atomic<uint64_t> word_{0};
     runtime::SpinLatch latch_;
     Batch* registry_head_ = nullptr;  // newest (highest born) first

@@ -4,66 +4,30 @@
 #ifndef STACKTRACK_SMR_LEAKY_H_
 #define STACKTRACK_SMR_LEAKY_H_
 
-#include <vector>
-
 #include "core/stats.h"
 #include "runtime/thread_registry.h"
-#include "runtime/trace.h"
 #include "smr/smr.h"
 
 namespace stacktrack::smr {
 
 struct LeakySmr {
-  static constexpr bool kSplits = false;
-
-  struct Config {};  // nothing to tune: Retire is a no-op
-
-  class Handle : public NoSplitOps, public PlainRegs {
+  class Handle : public PlainHandle {
    public:
-    static constexpr bool kSplits = false;
-
-    void OpBegin(uint32_t) {}
-    void OpEnd() {}
-
-    template <typename T>
-    T Load(const std::atomic<T>& src) {
-      return src.load(std::memory_order_acquire);
-    }
-    template <typename T>
-    void Store(std::atomic<T>& dst, T value) {
-      dst.store(value, std::memory_order_release);
-    }
-    template <typename T>
-    bool Cas(std::atomic<T>& dst, T expected, T desired) {
-      return dst.compare_exchange_strong(expected, desired, std::memory_order_acq_rel);
-    }
-    template <typename T>
-    T Protect(const std::atomic<T>& src, uint32_t) {
-      return Load(src);
-    }
-    template <typename T>
-    void ProtectRaw(uint32_t, T) {}
     void Retire(void*, uint64_t = 0) {}  // leaked on purpose
-    void AnchorHop(uint64_t) {}
   };
 
   template <uint32_t N>
-  using Frame = PlainFrame<Handle, N>;
+  using Frame = PlainFrame<N>;
 
   class Domain {
    public:
     Handle& AcquireHandle() { return handles_[runtime::CurrentThreadId()]; }
 
-    const Config& config() const { return config_; }
     // No counters to report: leaking is the scheme. All-zero keeps the identity
     // frees <= retires trivially true for uniform consumers.
     core::Stats Snapshot() const { return core::Stats{}; }
-    std::vector<runtime::trace::MergedRecord> Trace() const {
-      return runtime::trace::CollectMerged();
-    }
 
    private:
-    Config config_;
     Handle handles_[runtime::kMaxThreads];
   };
 };

@@ -4,20 +4,16 @@
 #define STACKTRACK_SMR_STACKTRACK_SMR_H_
 
 #include <memory>
-#include <vector>
 
 #include "core/stats.h"
 #include "core/thread_context.h"
 #include "runtime/barrier.h"
 #include "runtime/thread_registry.h"
-#include "runtime/trace.h"
 #include "smr/smr.h"
 
 namespace stacktrack::smr {
 
 struct StackTrackSmr {
-  static constexpr bool kSplits = true;
-
   using Handle = core::StContext;
 
   template <uint32_t N>
@@ -44,13 +40,9 @@ struct StackTrackSmr {
       return *contexts_[tid];
     }
 
-    const core::StConfig& config() const { return config_; }
     // Contexts register with the global StatsRegistry, so the domain-wide view is the
     // registry sum (racy totals, exact at quiescence — same contract as the baselines).
     core::Stats Snapshot() const { return core::StatsRegistry::Instance().Sum(); }
-    std::vector<runtime::trace::MergedRecord> Trace() const {
-      return runtime::trace::CollectMerged();
-    }
 
    private:
     core::StConfig config_;

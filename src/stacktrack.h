@@ -2,22 +2,19 @@
 //
 //   #include "stacktrack.h"
 //
-//   stacktrack::smr::StackTrackSmr::Domain domain;   // or Epoch/Hazard/Dta/LeakySmr
+//   stacktrack::smr::StackTrackSmr::Domain domain;   // or any scheme in smr/registry.h
 //   stacktrack::runtime::ThreadScope scope;          // register the calling thread
 //   auto& handle = domain.AcquireHandle();
-//   {
-//     stacktrack::smr::OpScope op(handle);           // RAII operation scope
-//     ... handle.Load / handle.Store / handle.Retire ...
-//     op.checkpoint();                               // optional split point
-//   }
+//   SMR_OP_BEGIN(handle, kOpId);                     // operation bracket (smr/smr.h)
+//   ... handle.Load / handle.Store / handle.Retire ...
+//   SMR_CHECKPOINT(handle);                          // one per basic block
+//   SMR_OP_END(handle);                              // before every return
 //   auto stats = domain.Snapshot();                  // cumulative core::Stats view
-//   auto trace = domain.Trace();                     // merged event trace (if armed)
+//   auto trace = stacktrack::runtime::trace::CollectMerged();  // event trace (if armed)
 //
-// Every Domain exposes the same surface — AcquireHandle() / config() / Snapshot() /
-// Trace() — so schemes are interchangeable as template parameters to the structures
-// in ds/. Hand-instrumented StackTrack operations (the ST_* macros of
-// core/split_engine.h) remain available for code that wants the HTM fast path; see
-// the macro/OpScope tradeoff note in smr/smr.h.
+// Every Domain exposes the same surface — AcquireHandle() / Snapshot() — so schemes
+// are interchangeable as template parameters to the structures in ds/. The SMR_*
+// macros are the one operation bracket; smr/smr.h documents where they may appear.
 #ifndef STACKTRACK_STACKTRACK_H_
 #define STACKTRACK_STACKTRACK_H_
 
@@ -30,8 +27,7 @@
 #include "smr/smr.h"
 #include "smr/stacktrack_smr.h"
 
-// StackTrack instrumentation macros + per-thread context.
-#include "core/split_engine.h"
+// StackTrack per-thread context.
 #include "core/thread_context.h"
 
 // Observability: counters, periodic snapshots, exporters, event tracing.

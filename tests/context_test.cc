@@ -7,7 +7,6 @@
 #include <memory>
 
 #include "core/free_proc.h"
-#include "core/split_engine.h"
 #include "runtime/pool_alloc.h"
 #include "runtime/machine_model.h"
 #include "smr/stacktrack_smr.h"
@@ -32,11 +31,11 @@ TEST_F(SplitEngineTest, CheckpointsSplitAtTheLimit) {
   StContext& ctx = domain.AcquireHandle();
 
   const uint64_t segments_before = ctx.stats.segments_committed;
-  ST_OP_BEGIN(ctx, 0);
+  SMR_OP_BEGIN(ctx, 0);
   for (int bb = 0; bb < 35; ++bb) {
-    ST_CHECKPOINT(ctx);  // 35 basic blocks at limit 10 -> 3 mid-op commits
+    SMR_CHECKPOINT(ctx);  // 35 basic blocks at limit 10 -> 3 mid-op commits
   }
-  ST_OP_END(ctx);
+  SMR_OP_END(ctx);
   EXPECT_EQ(ctx.stats.segments_committed - segments_before, 4u);  // 3 splits + final
   EXPECT_EQ(ctx.stats.ops, 1u);
 }
@@ -49,11 +48,11 @@ TEST_F(SplitEngineTest, PredictorGrowsOnConsecutiveCommits) {
   StContext& ctx = domain.AcquireHandle();
 
   for (int op = 0; op < 10; ++op) {
-    ST_OP_BEGIN(ctx, 1);
+    SMR_OP_BEGIN(ctx, 1);
     for (int bb = 0; bb < 30; ++bb) {
-      ST_CHECKPOINT(ctx);
+      SMR_CHECKPOINT(ctx);
     }
-    ST_OP_END(ctx);
+    SMR_OP_END(ctx);
   }
   // Segment 0 of op 1 committed 10 times with threshold 2 -> limit grew by ~5.
   EXPECT_GT(ctx.predictor_limit(1, 0), 5u);
@@ -75,16 +74,16 @@ TEST_F(SplitEngineTest, PredictorShrinksUnderCapacityAborts) {
   std::atomic<uint64_t> words[64] = {};
 
   for (int op = 0; op < 6; ++op) {
-    ST_OP_BEGIN(ctx, 2);
+    SMR_OP_BEGIN(ctx, 2);
     for (int bb = 0; bb < 30; ++bb) {
-      ST_CHECKPOINT(ctx);
+      SMR_CHECKPOINT(ctx);
       // One shared read per basic block, each on a fresh cache line: capacity is
       // a line budget (the backend's line-read cache dedups same-line re-reads,
       // exactly as real HTM footprint would), so adjacent-word reads would fit
       // the tiny budget and never abort.
       ctx.Load(words[(bb * 8) % 64]);
     }
-    ST_OP_END(ctx);
+    SMR_OP_END(ctx);
   }
   EXPECT_LT(ctx.predictor_limit(2, 0), 30u);
   EXPECT_GT(ctx.stats.aborts_capacity, 0u);
@@ -99,8 +98,8 @@ TEST_F(SplitEngineTest, AbortRollsBackFrameAndRegisters) {
   ctx.reg<uint64_t>(0) = uint64_t{222};
 
   volatile int attempts = 0;
-  ST_OP_BEGIN(ctx, 3);
-  ST_CHECKPOINT(ctx);
+  SMR_OP_BEGIN(ctx, 3);
+  SMR_CHECKPOINT(ctx);
   attempts = attempts + 1;
   if (attempts == 1) {
     // Dirty the roots inside the segment, then force an abort: the engine must
@@ -111,7 +110,7 @@ TEST_F(SplitEngineTest, AbortRollsBackFrameAndRegisters) {
   }
   EXPECT_EQ(frame.words[0], 111u);
   EXPECT_EQ(ctx.reg<uint64_t>(0).get(), uint64_t{222});
-  ST_OP_END(ctx);
+  SMR_OP_END(ctx);
   EXPECT_EQ(attempts, 2);
   EXPECT_EQ(ctx.stats.aborts_explicit, 1u);
 }
@@ -123,14 +122,14 @@ TEST_F(SplitEngineTest, AbortDiscardsBufferedRetires) {
   void* node = pool.Alloc(32);
 
   volatile int attempts = 0;
-  ST_OP_BEGIN(ctx, 4);
-  ST_CHECKPOINT(ctx);
+  SMR_OP_BEGIN(ctx, 4);
+  SMR_CHECKPOINT(ctx);
   attempts = attempts + 1;
   if (attempts == 1) {
     ctx.Retire(node);
     htm::TxAbort(htm::AbortCause::kExplicit);  // retire must be rolled back
   }
-  ST_OP_END(ctx);
+  SMR_OP_END(ctx);
   EXPECT_EQ(ctx.free_set_size(), 0u);  // nothing spliced from the aborted segment
   EXPECT_TRUE(pool.OwnsLive(node));    // and nothing was freed
   pool.Free(node);
@@ -141,9 +140,9 @@ TEST_F(SplitEngineTest, CommittedRetiresReachTheFreeSet) {
   StContext& ctx = domain.AcquireHandle();
   void* node = runtime::PoolAllocator::Instance().Alloc(32);
 
-  ST_OP_BEGIN(ctx, 5);
+  SMR_OP_BEGIN(ctx, 5);
   ctx.Retire(node);
-  ST_OP_END(ctx);
+  SMR_OP_END(ctx);
   // max_free (default 32) not reached: buffered, not yet freed.
   EXPECT_EQ(ctx.free_set_size(), 1u);
   EXPECT_EQ(ctx.FlushFrees(), 0u);  // no other thread holds it -> freed now
@@ -160,11 +159,11 @@ TEST_F(SplitEngineTest, SeqlockIsEvenAndAdvancesPerSegment) {
 
   const uint64_t seq_before = ctx.splits_seq.load();
   EXPECT_EQ(seq_before % 2, 0u);
-  ST_OP_BEGIN(ctx, 6);
+  SMR_OP_BEGIN(ctx, 6);
   for (int bb = 0; bb < 8; ++bb) {
-    ST_CHECKPOINT(ctx);  // two mid-op commits -> two expose events
+    SMR_CHECKPOINT(ctx);  // two mid-op commits -> two expose events
   }
-  ST_OP_END(ctx);
+  SMR_OP_END(ctx);
   const uint64_t seq_after = ctx.splits_seq.load();
   EXPECT_EQ(seq_after % 2, 0u);
   EXPECT_EQ(seq_after - seq_before, 4u);  // +2 per exposed segment commit
@@ -177,14 +176,14 @@ TEST_F(SplitEngineTest, RegistersAreExposedAtSegmentCommitOnly) {
   smr::StackTrackSmr::Domain domain(config);
   StContext& ctx = domain.AcquireHandle();
 
-  ST_OP_BEGIN(ctx, 7);
+  SMR_OP_BEGIN(ctx, 7);
   ctx.reg<uint64_t>(3) = uint64_t{0xabcd};
-  ST_CHECKPOINT(ctx);  // below the limit: no commit, no exposure
+  SMR_CHECKPOINT(ctx);  // below the limit: no commit, no exposure
   EXPECT_EQ(ctx.exposed_regs[3].load(), 0u);
   ctx.CommitSegment();  // forced mid-op commit exposes the register file
   EXPECT_EQ(ctx.exposed_regs[3].load(), 0xabcdu);
   SMR_SEGMENT_ARM(ctx);
-  ST_OP_END(ctx);
+  SMR_OP_END(ctx);
   // Operation end clears every root so idle threads pin nothing.
   EXPECT_EQ(ctx.exposed_regs[3].load(), 0u);
 }
@@ -193,8 +192,8 @@ TEST_F(SplitEngineTest, OpEndBumpsOperCounter) {
   smr::StackTrackSmr::Domain domain;
   StContext& ctx = domain.AcquireHandle();
   const uint64_t before = ctx.oper_counter.load();
-  ST_OP_BEGIN(ctx, 8);
-  ST_OP_END(ctx);
+  SMR_OP_BEGIN(ctx, 8);
+  SMR_OP_END(ctx);
   EXPECT_EQ(ctx.oper_counter.load(), before + 1);
 }
 
@@ -224,11 +223,11 @@ TEST_F(SplitEngineTest, PerSegmentPredictorCellsAreIndependent) {
   StContext& ctx = domain.AcquireHandle();
 
   for (int op = 0; op < 4; ++op) {
-    ST_OP_BEGIN(ctx, 9);
+    SMR_OP_BEGIN(ctx, 9);
     for (int bb = 0; bb < 14; ++bb) {
-      ST_CHECKPOINT(ctx);
+      SMR_CHECKPOINT(ctx);
     }
-    ST_OP_END(ctx);
+    SMR_OP_END(ctx);
   }
   // Both the first and second segment cells of op 9 were exercised and grew
   // independently of op 0's cells.

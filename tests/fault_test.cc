@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/free_proc.h"
-#include "core/split_engine.h"
 #include "ds/list.h"
 #include "ds/skiplist.h"
 #include "runtime/fault.h"
@@ -138,8 +137,8 @@ TEST_F(FaultTest, ForcedSoftAbortIsRecoveredBySplitEngine) {
   fault::ArmNthVisit(Site::kSoftTxAbort, /*first=*/1, /*period=*/0);
   const uint64_t oper_before = ctx.oper_counter.load(std::memory_order_acquire);
   const uint64_t aborts_before = ctx.stats.aborts_conflict;
-  ST_OP_BEGIN(ctx, 0);
-  ST_OP_END(ctx);
+  SMR_OP_BEGIN(ctx, 0);
+  SMR_OP_END(ctx);
   fault::Disarm(Site::kSoftTxAbort);
   EXPECT_EQ(fault::Fires(Site::kSoftTxAbort), 1u);
   EXPECT_GT(ctx.stats.aborts_conflict, aborts_before)
@@ -541,9 +540,9 @@ TEST_F(FaultTest, AbortRestoresOnlyRootsTheRoundKeptAlive) {
       core::StContext& ctx = domain.AcquireHandle();
       core::TrackedFrame<1> frame(ctx);
       volatile int attempts = 0;
-      ST_OP_BEGIN(ctx, 0);
+      SMR_OP_BEGIN(ctx, 0);
       frame.ptr<void*>(0) = ctx.Load(head);
-      ST_CHECKPOINT(ctx);  // commits x as a root and arms the next segment
+      SMR_CHECKPOINT(ctx);  // commits x as a root and arms the next segment
       attempts = attempts + 1;
       if (attempts == 1) {
         frame.words[0] = 0;
@@ -555,7 +554,7 @@ TEST_F(FaultTest, AbortRestoresOnlyRootsTheRoundKeptAlive) {
       }
       restored = frame.words[0];
       restored_live = pool.OwnsLive(x);
-      ST_OP_END(ctx);
+      SMR_OP_END(ctx);
     });
     while (!overwritten.load(std::memory_order_acquire)) {
       sched_yield();

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/free_proc.h"
-#include "core/split_engine.h"
 #include "ds/list.h"
 #include "runtime/pool_alloc.h"
 #include "smr/stacktrack_smr.h"

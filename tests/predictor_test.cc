@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/predictor.h"
-#include "core/split_engine.h"
 #include "core/stats_export.h"
 #include "runtime/trace.h"
 #include "smr/stacktrack_smr.h"
@@ -34,9 +33,9 @@ StConfig StreakConfig(uint32_t initial) {
 // i.e. the lazily initialized value, before the op's own commit gets a chance to
 // move it.
 uint32_t TouchAndPeek(StContext& ctx, uint32_t op_id) {
-  ST_OP_BEGIN(ctx, op_id);
+  SMR_OP_BEGIN(ctx, op_id);
   const uint32_t limit = ctx.predictor_limit(op_id, 0);
-  ST_OP_END(ctx);
+  SMR_OP_END(ctx);
   return limit;
 }
 
@@ -46,19 +45,19 @@ uint32_t TouchAndPeek(StContext& ctx, uint32_t op_id) {
 void RunOp(StContext& ctx, uint32_t op_id, int blocks, int aborts,
            htm::AbortCause cause) {
   volatile int aborts_left = aborts;
-  ST_OP_BEGIN(ctx, op_id);
+  SMR_OP_BEGIN(ctx, op_id);
   if (aborts_left > 0 && !ctx.in_slow_segment()) {
     aborts_left = aborts_left - 1;
     htm::TxAbort(cause);
   }
   for (int bb = 0; bb < blocks; ++bb) {
-    ST_CHECKPOINT(ctx);
+    SMR_CHECKPOINT(ctx);
     if (aborts_left > 0 && !ctx.in_slow_segment()) {
       aborts_left = aborts_left - 1;
       htm::TxAbort(cause);
     }
   }
-  ST_OP_END(ctx);
+  SMR_OP_END(ctx);
 }
 
 TEST_F(PredictorTest, LazyCellInit) {

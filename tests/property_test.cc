@@ -14,9 +14,7 @@
 #include "ds/skiplist.h"
 #include "runtime/barrier.h"
 #include "runtime/rand.h"
-#include "smr/epoch.h"
-#include "smr/hazard.h"
-#include "smr/stacktrack_smr.h"
+#include "smr/registry.h"
 
 namespace stacktrack {
 namespace {
@@ -177,20 +175,18 @@ TEST_P(QueueFifoTest, PerProducerOrderIsPreserved) {
 INSTANTIATE_TEST_SUITE_P(Producers, QueueFifoTest, ::testing::Values(1u, 2u, 4u));
 
 // ---- Property 4: reclamation accounting balances under churn -----------------------
-// Pool allocs - frees must equal the surviving structure size (plus sentinels),
-// i.e. no node is leaked by the fast path and none is double-freed, for every
-// max_free batching configuration.
+// Pool allocs - frees must balance once the structure and its domain are torn down,
+// i.e. no node is leaked by the fast path or parked for good by a scheme, and none is
+// double-freed. StackTrack runs it for every max_free batching configuration; every
+// other reclaiming scheme runs it with its defaults.
 
-class ReclamationBalanceTest : public ::testing::TestWithParam<uint32_t> {};
-
-TEST_P(ReclamationBalanceTest, ListChurnBalancesAllocations) {
+template <typename Smr, typename... DomainArgs>
+void ExpectListChurnBalances(const DomainArgs&... domain_args) {
   auto& pool = runtime::PoolAllocator::Instance();
   const auto before = pool.GetStats();
   {
-    core::StConfig config;
-    config.max_free = GetParam();
-    smr::StackTrackSmr::Domain domain(config);
-    ds::LockFreeList<smr::StackTrackSmr> list;
+    typename Smr::Domain domain(domain_args...);
+    ds::LockFreeList<Smr> list;
     constexpr uint32_t kThreads = 4;
     runtime::SpinBarrier barrier(kThreads);
     std::vector<std::thread> threads;
@@ -220,7 +216,27 @@ TEST_P(ReclamationBalanceTest, ListChurnBalancesAllocations) {
       << "leaked " << after.live_objects - before.live_objects << " nodes";
 }
 
+class ReclamationBalanceTest : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(ReclamationBalanceTest, ListChurnBalancesAllocations) {
+  core::StConfig config;
+  config.max_free = GetParam();
+  ExpectListChurnBalances<smr::StackTrackSmr>(config);
+}
+
 INSTANTIATE_TEST_SUITE_P(MaxFree, ReclamationBalanceTest, ::testing::Values(1u, 8u, 64u, 256u));
+
+template <typename Smr>
+class SchemeReclamationBalanceTest : public ::testing::Test {};
+
+// Every registered scheme but LeakySmr, which leaks by design.
+using ReclaimingSchemes = ::testing::Types<smr::EpochSmr, smr::HazardSmr, smr::DtaSmr,
+                                           smr::StackTrackSmr, smr::HyalineSmr>;
+TYPED_TEST_SUITE(SchemeReclamationBalanceTest, ReclaimingSchemes);
+
+TYPED_TEST(SchemeReclamationBalanceTest, ListChurnBalancesAllocations) {
+  ExpectListChurnBalances<TypeParam>();
+}
 
 }  // namespace
 }  // namespace stacktrack

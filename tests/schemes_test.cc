@@ -3,18 +3,21 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
-#include "smr/registry.h"
 #include "runtime/pool_alloc.h"
+#include "runtime/trace.h"
+#include "smr/registry.h"
 
 namespace stacktrack::smr {
 namespace {
 
 TEST(EpochTest, RetireBatchFreesWhenAllThreadsQuiet) {
   runtime::ThreadScope scope;
-  EpochSmr::Domain domain(/*batch_size=*/4);
+  EpochSmr::Domain domain({.batch_size = 4});
   auto& h = domain.AcquireHandle();
   auto& pool = runtime::PoolAllocator::Instance();
 
@@ -27,11 +30,11 @@ TEST(EpochTest, RetireBatchFreesWhenAllThreadsQuiet) {
     h.Retire(nodes[i]);
   }
   h.OpEnd();
-  EXPECT_EQ(domain.total_freed(), 0u);  // below the batch threshold
+  EXPECT_EQ(domain.Snapshot().frees, 0u);  // below the batch threshold
   h.OpBegin(0);
   h.Retire(nodes[3]);  // hits the threshold -> quiescence wait -> batch freed
   h.OpEnd();
-  EXPECT_EQ(domain.total_freed(), 4u);
+  EXPECT_EQ(domain.Snapshot().frees, 4u);
   for (void* node : nodes) {
     EXPECT_FALSE(pool.OwnsLive(node));
   }
@@ -39,7 +42,7 @@ TEST(EpochTest, RetireBatchFreesWhenAllThreadsQuiet) {
 
 TEST(EpochTest, ReclaimerWaitsForInFlightOperation) {
   runtime::ThreadScope scope;
-  EpochSmr::Domain domain(/*batch_size=*/1);
+  EpochSmr::Domain domain({.batch_size = 1});
   auto& pool = runtime::PoolAllocator::Instance();
   std::atomic<int> state{0};  // 0: starting, 1: mid-op, 2: finish requested
 
@@ -78,7 +81,7 @@ TEST(EpochTest, ReclaimerWaitsForInFlightOperation) {
   reclaimer.join();
   blocker.join();
   EXPECT_TRUE(freed.load());
-  EXPECT_EQ(domain.total_freed(), 1u);
+  EXPECT_EQ(domain.Snapshot().frees, 1u);
 }
 
 TEST(HazardTest, ProtectValidatesAgainstConcurrentChange) {
@@ -95,7 +98,7 @@ TEST(HazardTest, ProtectValidatesAgainstConcurrentChange) {
 
 TEST(HazardTest, PublishedHazardBlocksFree) {
   runtime::ThreadScope scope;
-  HazardSmr::Domain domain(/*scan_threshold=*/1);
+  HazardSmr::Domain domain({.scan_threshold = 1});
   auto& h = domain.AcquireHandle();
   auto& pool = runtime::PoolAllocator::Instance();
 
@@ -110,12 +113,12 @@ TEST(HazardTest, PublishedHazardBlocksFree) {
   h.Retire(other);  // second scan reclaims both
   EXPECT_FALSE(pool.OwnsLive(node));
   EXPECT_FALSE(pool.OwnsLive(other));
-  EXPECT_EQ(domain.total_freed(), 2u);
+  EXPECT_EQ(domain.Snapshot().frees, 2u);
 }
 
 TEST(HazardTest, TaggedHazardStillProtects) {
   runtime::ThreadScope scope;
-  HazardSmr::Domain domain(/*scan_threshold=*/1);
+  HazardSmr::Domain domain({.scan_threshold = 1});
   auto& h = domain.AcquireHandle();
   auto& pool = runtime::PoolAllocator::Instance();
 
@@ -133,7 +136,7 @@ TEST(HazardTest, TaggedHazardStillProtects) {
 }
 
 TEST(HazardTest, CrossThreadHazardIsVisibleToScans) {
-  HazardSmr::Domain domain(/*scan_threshold=*/1);
+  HazardSmr::Domain domain({.scan_threshold = 1});
   auto& pool = runtime::PoolAllocator::Instance();
   void* node = pool.Alloc(32);
   std::atomic<int> state{0};
@@ -177,7 +180,7 @@ TEST(HazardTest, CrossThreadHazardIsVisibleToScans) {
 // records it. Debug builds assert instead, so the case is release-only.
 TEST(HazardTest, SlotOverflowFailsLoudly) {
   runtime::ThreadScope scope;
-  HazardSmr::Domain domain(/*scan_threshold=*/1);
+  HazardSmr::Domain domain({.scan_threshold = 1});
   auto& h = domain.AcquireHandle();
   auto& pool = runtime::PoolAllocator::Instance();
 
@@ -198,7 +201,7 @@ TEST(HazardTest, SlotOverflowFailsLoudly) {
 
 TEST(DtaTest, NodesRetiredBeforeOpStartAreFreed) {
   runtime::ThreadScope scope;
-  DtaSmr::Domain domain(/*anchor_interval=*/4, /*batch_size=*/1);
+  DtaSmr::Domain domain({.anchor_interval = 4, .batch_size = 1});
   auto& h = domain.AcquireHandle();
   auto& pool = runtime::PoolAllocator::Instance();
 
@@ -207,11 +210,11 @@ TEST(DtaTest, NodesRetiredBeforeOpStartAreFreed) {
   void* node = pool.Alloc(32);
   h.Retire(node, /*key=*/10);  // batch 1 -> scan now; everyone idle -> freed
   EXPECT_FALSE(pool.OwnsLive(node));
-  EXPECT_EQ(domain.total_freed(), 1u);
+  EXPECT_EQ(domain.Snapshot().frees, 1u);
 }
 
 TEST(DtaTest, ConcurrentOpPinsUntilAnchorPasses) {
-  DtaSmr::Domain domain(/*anchor_interval=*/2, /*batch_size=*/1);
+  DtaSmr::Domain domain({.anchor_interval = 2, .batch_size = 1});
   auto& pool = runtime::PoolAllocator::Instance();
   std::atomic<int> state{0};
 
@@ -257,43 +260,47 @@ TEST(DtaTest, ConcurrentOpPinsUntilAnchorPasses) {
 }
 
 TEST(DtaTest, StalledOperationQuarantinesInsteadOfBlocking) {
-  DtaSmr::Domain domain(/*anchor_interval=*/64, /*batch_size=*/1, /*stall_rounds=*/3);
   auto& pool = runtime::PoolAllocator::Instance();
-  std::atomic<int> state{0};
+  void* node = pool.Alloc(32);
+  {
+    DtaSmr::Domain domain({.batch_size = 1, .stall_deadline_ns = 1'000'000});
+    std::atomic<int> state{0};
 
-  std::thread stalled([&] {
-    runtime::ThreadScope scope;
-    auto& h = domain.AcquireHandle();
-    h.OpBegin(0);  // never anchors, never finishes (a "crashed" reader)
-    state.store(1, std::memory_order_release);
-    while (state.load(std::memory_order_acquire) != 2) {
+    std::thread stalled([&] {
+      runtime::ThreadScope scope;
+      auto& h = domain.AcquireHandle();
+      h.OpBegin(0);  // never anchors, never finishes (a "crashed" reader)
+      state.store(1, std::memory_order_release);
+      while (state.load(std::memory_order_acquire) != 2) {
+        sched_yield();
+      }
+      h.OpEnd();
+    });
+    while (state.load(std::memory_order_acquire) != 1) {
       sched_yield();
     }
-    h.OpEnd();
-  });
-  while (state.load(std::memory_order_acquire) != 1) {
-    sched_yield();
-  }
 
-  {
-    runtime::ThreadScope scope;
-    auto& h = domain.AcquireHandle();
-    void* node = pool.Alloc(32);
-    h.Retire(node, /*key=*/7);
-    // Each further retire re-scans; after stall_rounds the pinned node moves to the
-    // quarantine so reclamation stays non-blocking (the freezing substitute).
-    for (int round = 0; round < 5; ++round) {
-      void* filler = pool.Alloc(32);
-      h.Retire(filler, /*key=*/1000 + round);
+    {
+      runtime::ThreadScope scope;
+      auto& h = domain.AcquireHandle();
+      h.Retire(node, /*key=*/7);  // the scan finds it pinned and stamps it
+      EXPECT_TRUE(pool.OwnsLive(node));
+      EXPECT_EQ(domain.Snapshot().stale_free_drops, 0u);
+      // Past the deadline the next scan moves the pinned node to the quarantine, so
+      // reclamation stays non-blocking (the freezing substitute).
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      h.Retire(pool.Alloc(32), /*key=*/1000);
+      EXPECT_TRUE(pool.OwnsLive(node));
+      EXPECT_EQ(domain.Snapshot().stale_free_drops, 1u);
+      state.store(2, std::memory_order_release);
     }
-    EXPECT_GE(domain.total_quarantined(), 1u);
-    state.store(2, std::memory_order_release);
+    stalled.join();
   }
-  stalled.join();
+  EXPECT_FALSE(pool.OwnsLive(node)) << "domain teardown left the quarantine unfreed";
 }
 
-// Every scheme instantiates the same Domain surface — AcquireHandle / config /
-// Snapshot / Trace — and the same RAII operation bracket. The test is deliberately
+// Every scheme instantiates the same Domain surface — AcquireHandle / Snapshot — and
+// the same operation bracket, the SMR_* macros. The test is deliberately
 // scheme-agnostic: it compiles once per scheme, which is the contract.
 template <typename Scheme>
 class UnifiedSurfaceTest : public ::testing::Test {};
@@ -301,23 +308,23 @@ class UnifiedSurfaceTest : public ::testing::Test {};
 using AllSchemes = RegisteredSchemes::Apply<::testing::Types>;
 TYPED_TEST_SUITE(UnifiedSurfaceTest, AllSchemes);
 
-TYPED_TEST(UnifiedSurfaceTest, DomainSurfaceAndOpScope) {
+TYPED_TEST(UnifiedSurfaceTest, DomainSurfaceAndBracket) {
   runtime::ThreadScope scope;
   auto& pool = runtime::PoolAllocator::Instance();
   std::vector<void*> nodes;
   {
     typename TypeParam::Domain domain;
-    (void)domain.config();  // scheme-specific Config, reachable uniformly
     auto& h = domain.AcquireHandle();
 
     const core::Stats before = domain.Snapshot();
     for (int i = 0; i < 16; ++i) {
-      OpScope op(h, /*op_id=*/1);
-      op.checkpoint();
       void* node = pool.Alloc(32);
       nodes.push_back(node);
+      SMR_OP_BEGIN(h, /*op_id=*/1);
+      SMR_CHECKPOINT(h);
       h.Retire(node, /*key=*/static_cast<uint64_t>(i));
-      op.checkpoint();
+      SMR_CHECKPOINT(h);
+      SMR_OP_END(h);
     }
     const core::Stats after = domain.Snapshot();
 
@@ -329,8 +336,8 @@ TYPED_TEST(UnifiedSurfaceTest, DomainSurfaceAndOpScope) {
     if (!std::is_same_v<TypeParam, LeakySmr>) {
       EXPECT_GE(after.retires - before.retires, 16u);
     }
-    // Trace() is well-formed for every scheme (empty unless tracing is armed).
-    for (const auto& record : domain.Trace()) {
+    // The merged trace is well-formed for every scheme (empty unless armed).
+    for (const auto& record : runtime::trace::CollectMerged()) {
       EXPECT_LT(static_cast<uint16_t>(record.event),
                 static_cast<uint16_t>(runtime::trace::Event::kCount));
     }

@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "core/free_proc.h"
-#include "core/split_engine.h"
 #include "runtime/pool_alloc.h"
 #include "ds/list.h"
 #include "runtime/machine_model.h"
@@ -33,13 +32,13 @@ TEST_F(SlowPathTest, ForcedSlowOpsPopulateAndClearRefSet) {
   std::atomic<uint64_t> b{2};
 
   EXPECT_EQ(GlobalSlowPathCount().load(), 0u);
-  ST_OP_BEGIN(ctx, 0);
+  SMR_OP_BEGIN(ctx, 0);
   EXPECT_TRUE(ctx.in_slow_segment());
   EXPECT_EQ(GlobalSlowPathCount().load(), 1u);
   EXPECT_EQ(ctx.Load(a), 1u);
   EXPECT_EQ(ctx.Load(b), 2u);
   EXPECT_GE(ctx.ref_set.size(), 2u);  // every shared read is treated as hazardous
-  ST_OP_END(ctx);
+  SMR_OP_END(ctx);
   EXPECT_EQ(GlobalSlowPathCount().load(), 0u);
   EXPECT_EQ(ctx.ref_set.size(), 0u);  // SLOW_COMMIT resets the reference set
   EXPECT_EQ(ctx.stats.slow_ops, 1u);
@@ -53,13 +52,13 @@ TEST_F(SlowPathTest, SlowWritesAreDirectAndRecorded) {
   StContext& ctx = domain.AcquireHandle();
   std::atomic<uint64_t> word{5};
 
-  ST_OP_BEGIN(ctx, 1);
+  SMR_OP_BEGIN(ctx, 1);
   ctx.Store(word, uint64_t{6});
   EXPECT_EQ(word.load(), 6u);  // direct, not buffered (Algorithm 5 SLOW_WRITE)
   EXPECT_TRUE(ctx.Cas(word, uint64_t{6}, uint64_t{7}));
   EXPECT_FALSE(ctx.Cas(word, uint64_t{6}, uint64_t{8}));
   EXPECT_EQ(word.load(), 7u);
-  ST_OP_END(ctx);
+  SMR_OP_END(ctx);
 }
 
 TEST_F(SlowPathTest, SlowReaderRefSetPinsNodesAgainstScans) {
@@ -77,7 +76,7 @@ TEST_F(SlowPathTest, SlowReaderRefSetPinsNodesAgainstScans) {
     void* node = pool.Alloc(64);
     std::atomic<uint64_t> shared{reinterpret_cast<uint64_t>(node)};
 
-    ST_OP_BEGIN(target, 2);
+    SMR_OP_BEGIN(target, 2);
     EXPECT_TRUE(target.in_slow_segment());
     target.Load(shared);  // records the node pointer in the reference set
 
@@ -86,7 +85,7 @@ TEST_F(SlowPathTest, SlowReaderRefSetPinsNodesAgainstScans) {
     // GlobalSlowPathCount != 0 makes the scan consult reference sets.
     EXPECT_TRUE(pool.OwnsLive(node)) << "freed a node pinned only by a reference set";
 
-    ST_OP_END(target);
+    SMR_OP_END(target);
     EXPECT_EQ(reclaimer.FlushFrees(), 0u);
     EXPECT_FALSE(pool.OwnsLive(node));
   }
@@ -109,12 +108,12 @@ TEST_F(SlowPathTest, PersistentSegmentFailureEscalatesToSlowPath) {
   StContext& ctx = domain.AcquireHandle();
   std::atomic<uint64_t> word{11};
 
-  ST_OP_BEGIN(ctx, 3);
+  SMR_OP_BEGIN(ctx, 3);
   // Fast attempts abort at the Load below and loop back to the begin point; only the
   // eventual slow-path execution reaches the lines after it.
   EXPECT_EQ(ctx.Load(word), 11u);  // completes despite a hostile HTM
   EXPECT_TRUE(ctx.in_slow_segment());
-  ST_OP_END(ctx);
+  SMR_OP_END(ctx);
   EXPECT_GE(ctx.stats.aborts_capacity, 8u);
   EXPECT_GE(ctx.stats.segments_slow, 1u);
   EXPECT_EQ(GlobalSlowPathCount().load(), 0u);
@@ -173,8 +172,8 @@ TEST_F(SlowPathTest, ForcedFractionIsRespectedStatistically) {
   smr::StackTrackSmr::Domain domain(config);
   StContext& ctx = domain.AcquireHandle();
   for (int i = 0; i < 2000; ++i) {
-    ST_OP_BEGIN(ctx, 4);
-    ST_OP_END(ctx);
+    SMR_OP_BEGIN(ctx, 4);
+    SMR_OP_END(ctx);
   }
   const double fraction = static_cast<double>(ctx.stats.slow_ops) / 2000.0;
   EXPECT_NEAR(fraction, 0.3, 0.05);

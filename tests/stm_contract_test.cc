@@ -3,10 +3,11 @@
 // MachineModel budget, QuarantineRange aborting in-flight readers, interop
 // (SafeCas/SafeStore/SafeLoad) vs transactional stores, spurious- and fault-injected
 // aborts, and abort causes surfacing through trace records. Everything here is what
-// core/split_engine.h depends on — an engine that passes this suite can carry the
-// whole scheme stack. The suite is instantiated once per software engine; the lazy
-// engine is the only one, so `Engines` has one value. Engine internals (write
-// buffering, the stripe clock) are pinned separately in softhtm_test.cc.
+// the SMR_* operation bracket (smr/smr.h) depends on — an engine that passes this
+// suite can carry the whole scheme stack. The suite is instantiated once per software
+// engine; the lazy engine is the only one, so `Engines` has one value. Engine
+// internals (write buffering, the stripe clock) are pinned separately in
+// softhtm_test.cc.
 #include <gtest/gtest.h>
 
 #include <atomic>

@@ -11,7 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/split_engine.h"
 #include "core/stats_export.h"
 #include "runtime/pool_alloc.h"
 #include "runtime/thread_registry.h"
@@ -136,7 +135,7 @@ TEST(TraceWorkloadTest, BatchEventArgsSumToCounterDeltas) {
   runtime::ThreadScope scope;
   ArmedScope armed;
   auto& pool = runtime::PoolAllocator::Instance();
-  smr::HazardSmr::Domain domain(/*scan_threshold=*/8);
+  smr::HazardSmr::Domain domain({.scan_threshold = 8});
   auto& h = domain.AcquireHandle();
   for (int i = 0; i < 64; ++i) {
     h.OpBegin(0);
@@ -149,7 +148,7 @@ TEST(TraceWorkloadTest, BatchEventArgsSumToCounterDeltas) {
   const core::Stats snap = domain.Snapshot();
   uint64_t retired = 0;
   uint64_t freed = 0;
-  for (const auto& record : domain.Trace()) {
+  for (const auto& record : trace::CollectMerged()) {
     if (record.event == trace::Event::kRetire) {
       retired += record.arg;
     } else if (record.event == trace::Event::kFree) {
@@ -179,11 +178,11 @@ TEST(TraceWorkloadTest, ArmedFastPathEmitsOutsideTransactions) {
   const uint64_t slow_before = ctx.stats.segments_slow;
   constexpr int kOps = 8;
   for (int op = 0; op < kOps; ++op) {
-    ST_OP_BEGIN(ctx, 0);
+    SMR_OP_BEGIN(ctx, 0);
     for (int bb = 0; bb < 12; ++bb) {
-      ST_CHECKPOINT(ctx);  // limit 4: several mid-op commits and re-arms per op
+      SMR_CHECKPOINT(ctx);  // limit 4: several mid-op commits and re-arms per op
     }
-    ST_OP_END(ctx);
+    SMR_OP_END(ctx);
   }
   trace::Arm(false);
 
@@ -193,7 +192,7 @@ TEST(TraceWorkloadTest, ArmedFastPathEmitsOutsideTransactions) {
   EXPECT_EQ(ctx.stats.segments_slow - slow_before, 0u);
   // Every arm attempt logged its begin record, outside the transaction.
   uint64_t begins = 0;
-  for (const auto& record : domain.Trace()) {
+  for (const auto& record : trace::CollectMerged()) {
     if (record.event == trace::Event::kSegmentBegin) {
       ++begins;
     }
