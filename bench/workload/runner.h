@@ -11,8 +11,8 @@
 //
 // Latency timestamps are CLOCK_MONOTONIC reads taken strictly OUTSIDE the
 // operations: an operation's transactional segments live inside the structure call,
-// and a clock_gettime inside a live RTM segment touches the vvar page — a
-// guaranteed abort (the same constraint that moved armed trace emits out of
+// and on real HTM a clock_gettime inside a live segment touches the vvar page — a
+// guaranteed abort (the same rule that keeps armed trace emits out of
 // transactions; see runtime/trace.h and DESIGN.md §6). Bracketing the whole call is
 // both safe and the honest SLO number: it charges aborts, retries, and slow-path
 // entries to the operation that suffered them.
@@ -87,8 +87,8 @@ inline OpKind PickOp(const OpMix& mix, KeyStream& keys) {
 }
 
 // Core timed driver. `op(handle, kind, key, keys)` performs one operation of `kind`
-// on behalf of the calling worker; the runner owns thread lifecycle, ramp,
-// preemption arming, timing, and histogram recording.
+// on behalf of the calling worker; the runner owns thread lifecycle, preemption
+// arming, timing, and histogram recording.
 template <typename Domain, typename OpFn>
 RunResult RunScenario(Domain& domain, const Scenario& scenario, OpFn op) {
   const auto& model = runtime::MachineModel::Instance();
@@ -124,9 +124,6 @@ RunResult RunScenario(Domain& domain, const Scenario& scenario, OpFn op) {
       KeyStream keys(scenario.keys, cdf, t);
       PerThread& mine = per_thread[t];
       barrier.Wait();
-      if (scenario.ramp_step_ms > 0 && t > 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(t * scenario.ramp_step_ms));
-      }
       while (!stop.load(std::memory_order_relaxed)) {
         const OpKind kind = PickOp(scenario.mix, keys);
         const uint64_t key = keys.Next();

@@ -63,9 +63,6 @@ struct Scenario {
   uint32_t threads = 4;
   uint32_t duration_ms = 150;
   uint32_t scan_length = 16;   // consecutive index keys touched per scan op
-  // Thread ramp: worker t enters the workload t * ramp_step_ms after the barrier
-  // (staggered arrival, the serving-system warmup shape). 0 = all start together.
-  uint32_t ramp_step_ms = 0;
   bool inject_preemption = true;  // oversubscription preemption (runner.h)
   bool measure_latency = true;    // per-op monotonic timestamps -> histograms
 };
@@ -77,7 +74,9 @@ struct Scenario {
 //   C  read-only    100% read
 // Every preset also exists in a "+scan" variant used by the ycsb_kv secondary-index
 // path (5% of reads become index scans).
-Scenario YcsbScenario(char letter, uint64_t key_range = 16384, bool with_scans = false);
+inline constexpr uint64_t kYcsbKeyRange = 16384;
+Scenario YcsbScenario(char letter, uint64_t key_range = kYcsbKeyRange,
+                      bool with_scans = false);
 
 // Strict parsers shared by EnvConfig and the --threads= / --ms= flags of ycsb_kv and
 // robustness_lag. Each accepts only a value that is wholly a decimal number in range.

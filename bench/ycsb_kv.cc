@@ -24,8 +24,7 @@
 // Every StackTrack round runs inline on the retiring thread.
 //
 // Usage: ycsb_kv [--preset=a|b|c|all] [--scheme=NAME|all] [--threads=N] [--ms=N]
-//                [--keys=N] [--shards=N] [--theta=F] [--scans] [--ramp=MS]
-//                [--json] [--smoke] [--trace-out=FILE]
+//                [--scans] [--json] [--smoke] [--trace-out=FILE]
 //   --json            one JSON object per (scheme, preset) run, with latency
 //                     percentiles per op kind and the Stats-counter delta
 //   --trace-out       write the merged event trace JSON (requires ST_TRACE_ARM)
@@ -54,16 +53,16 @@ namespace {
 // index list short enough that updates stay hash-dominated while scans still walk a
 // real sorted structure.
 constexpr uint32_t kIndexShiftBits = 6;
+constexpr uint32_t kShards = 8;  // a power of two: a key's shard is a hash mask
 
 template <typename Smr>
 class ShardedKv {
  public:
   using Handle = typename Smr::Handle;
 
-  ShardedKv(std::size_t shards, std::size_t buckets_per_shard)
-      : shard_mask_(RoundUpPow2(shards) - 1) {
-    shards_.reserve(shard_mask_ + 1);
-    for (std::size_t s = 0; s <= shard_mask_; ++s) {
+  explicit ShardedKv(std::size_t buckets_per_shard) {
+    shards_.reserve(kShards);
+    for (uint32_t s = 0; s < kShards; ++s) {
       shards_.push_back(std::make_unique<ds::LockFreeHashTable<Smr>>(buckets_per_shard));
     }
   }
@@ -108,19 +107,10 @@ class ShardedKv {
   static uint64_t IndexKey(uint64_t key) { return 1 + (key >> kIndexShiftBits); }
 
  private:
-  static std::size_t RoundUpPow2(std::size_t value) {
-    std::size_t rounded = 1;
-    while (rounded < value) {
-      rounded <<= 1;
-    }
-    return rounded;
-  }
-
   ds::LockFreeHashTable<Smr>& ShardOf(uint64_t key) {
-    return *shards_[(key * 0x9e3779b97f4a7c15ULL >> 40) & shard_mask_];
+    return *shards_[(key * 0x9e3779b97f4a7c15ULL >> 40) & (kShards - 1)];
   }
 
-  std::size_t shard_mask_;
   std::vector<std::unique_ptr<ds::LockFreeHashTable<Smr>>> shards_;
   ds::LockFreeList<Smr> index_;     // secondary index over coarse key ranges
   ds::LockFreeQueue<Smr> changelog_;  // update handoff
@@ -131,20 +121,16 @@ struct Options {
   std::string scheme = "all";
   uint32_t threads = 0;   // 0 = first ST_BENCH_THREADS entry (default 4)
   uint32_t duration_ms = 0;  // 0 = ST_BENCH_MS default
-  uint64_t key_range = 16384;
-  uint32_t shards = 8;
-  double theta = 0.99;
   bool with_scans = false;
-  uint32_t ramp_step_ms = 0;
   bool json = false;
   bool smoke = false;
   std::string trace_out;  // path for the merged trace JSON (armed runs)
 };
 
 template <typename Smr>
-workload::RunResult RunKv(typename Smr::Domain& domain, const Options& opt,
+workload::RunResult RunKv(typename Smr::Domain& domain,
                           const workload::Scenario& scenario) {
-  ShardedKv<Smr> kv(opt.shards, /*buckets_per_shard=*/512);
+  ShardedKv<Smr> kv(/*buckets_per_shard=*/512);
 
   // Load phase: uniform over the keyspace (the YCSB shape — uniform load, skewed
   // transactions). Each prefilled key registers its index range too.
@@ -256,8 +242,7 @@ void MaybeDumpTrace(const Options& opt) {
 void RunPreset(const Options& opt, const std::vector<std::string>& schemes,
                char letter) {
   workload::Scenario scenario =
-      workload::YcsbScenario(letter, opt.key_range, opt.with_scans);
-  scenario.keys.zipf_theta = opt.theta;
+      workload::YcsbScenario(letter, workload::kYcsbKeyRange, opt.with_scans);
   const auto env = workload::EnvConfig::Load();
   env.Apply(&scenario);
   // --threads wins; else the first ST_BENCH_THREADS entry if the user set one;
@@ -275,7 +260,6 @@ void RunPreset(const Options& opt, const std::vector<std::string>& schemes,
     scenario.keys.key_range = 2048;
     scenario.prefill = 1024;
   }
-  scenario.ramp_step_ms = opt.ramp_step_ms;
 
   for (const std::string& name : schemes) {
     smr::DispatchScheme(name, [&]<typename Smr>(const smr::SchemeInfo& info) {
@@ -284,7 +268,7 @@ void RunPreset(const Options& opt, const std::vector<std::string>& schemes,
       // their retires - frees is the garbage left at the end of the run;
       // result.stats covers the measured window only.
       const core::Stats before = domain.Snapshot();
-      const workload::RunResult result = RunKv<Smr>(domain, opt, scenario);
+      const workload::RunResult result = RunKv<Smr>(domain, scenario);
       PrintResult(opt, info.name, scenario, result,
                   workload::StatsDelta(before, domain.Snapshot()));
       // The trace buffer is cumulative, so a multi-scheme --trace-out ends holding
@@ -319,14 +303,6 @@ int Main(int argc, char** argv) {
         std::fprintf(stderr, "%s: expected a window in ms >= 1\n", argv[i]);
         return 2;
       }
-    } else if ((v = value("--keys=")) != nullptr) {
-      opt.key_range = std::strtoull(v, nullptr, 0);
-    } else if ((v = value("--shards=")) != nullptr) {
-      opt.shards = static_cast<uint32_t>(std::atoi(v));
-    } else if ((v = value("--theta=")) != nullptr) {
-      opt.theta = std::atof(v);
-    } else if ((v = value("--ramp=")) != nullptr) {
-      opt.ramp_step_ms = static_cast<uint32_t>(std::atoi(v));
     } else if ((v = value("--trace-out=")) != nullptr) {
       opt.trace_out = v;
     } else if (arg == "--scans") {
@@ -349,9 +325,10 @@ int Main(int argc, char** argv) {
     runtime::trace::Arm(true);
   }
   if (!opt.json) {
+    const workload::KeyStreamSpec keys = workload::YcsbScenario('a').keys;
     std::printf("# ycsb_kv: sharded KV (shards=%u) + list index + queue handoff, "
                 "zipf theta=%.2f keys=%llu\n",
-                opt.shards, opt.theta, static_cast<unsigned long long>(opt.key_range));
+                kShards, keys.zipf_theta, static_cast<unsigned long long>(keys.key_range));
   }
   if (opt.preset == "all") {
     RunPreset(opt, schemes, 'a');

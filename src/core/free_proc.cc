@@ -58,7 +58,7 @@ namespace {
 // max_free retires, so an ordinary operation can span many rounds.
 // Every reclamation round writes the latch and the per-thread stamps, so the block gets
 // cache lines of its own: placed by the linker next to read-mostly flags that every
-// transaction or trace site loads (htm backend, trace arming, fault arming), it made
+// transaction or trace site loads (trace arming, fault arming), it made
 // each round a coherence miss for every other thread.
 struct alignas(runtime::kCacheLineSize) Watchdog {
   runtime::SpinLatch latch;

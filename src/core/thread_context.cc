@@ -168,11 +168,11 @@ bool StContext::PrepareSegment() {
     return false;
   }
   SaveReplayRoots();
-  // Recorded before the begin point, never between xbegin and xend: when armed,
-  // EmitSlow's clock_gettime reads the vvar page, a guaranteed RTM abort (trace.cc's
-  // in-transaction guard enforces this for every site). An attempt that goes on to
-  // abort therefore still shows its segment_begin, paired with the backend's
-  // segment_abort record at the resume point.
+  // Recorded before the begin point, never inside the segment: when armed,
+  // EmitSlow's clock_gettime reads the vvar page, a guaranteed abort on real HTM
+  // (trace.cc's in-transaction guard enforces this for every site). An attempt that
+  // goes on to abort therefore still shows its segment_begin, paired with the
+  // engine's segment_abort record at the resume point.
   trace::Emit(trace::Event::kSegmentBegin, CurrentCell().limit);
   return true;
 }

@@ -7,30 +7,34 @@
 //   3. capacity aborts when the footprint exceeds the cache budget, and
 //   4. a best-effort contract — no progress guarantee, so a software fallback exists.
 //
-// Two backends provide this contract:
-//   * kSoft — a software transactional memory. This is the default: it works on any
-//     machine and its capacity/spurious-abort behaviour is driven by
-//     runtime::MachineModel so the paper's 4-core/8-thread regimes are reproducible
-//     on this 1-core host. One engine implements it: lazy validation over striped
-//     version locks (htm/soft_backend.h) — cheap reads, commit-time revalidation.
-//   * kRtm — real Intel TSX RTM (htm/rtm_backend.h), selectable when the CPU supports
-//     it and a runtime probe shows transactions can actually commit (TSX is microcode-
-//     disabled on many parts).
+// The paper ran on Intel TSX. Here a software transactional memory provides the
+// contract: it works on any machine, and its capacity/spurious-abort behaviour is
+// driven by runtime::MachineModel so the paper's 4-core/8-thread regimes are
+// reproducible on a host of any size. One engine implements it: lazy validation over
+// striped version locks (htm/soft_backend.h) — cheap reads, commit-time revalidation.
+//
+// Fidelity to real HTM: no armed trace emit and no clock read may run between a
+// segment's begin point and its commit. On hardware either one is a guaranteed abort
+// (clock_gettime reads the vvar page), so code that breaks the rule would silently
+// push every fast-path segment onto the slow path. The soft engine would not abort,
+// so the trace layer's in-transaction guard enforces the rule instead
+// (runtime/trace.h SetInTxProbe).
 //
 // Begin-point protocol: a transaction must be (re)entered through the
 // ST_HTM_BEGIN_POINT() macro, expanded in a stack frame that outlives the whole
 // segment (the data-structure operation's frame). It evaluates to 0 when a fresh
 // transaction has started, or to an AbortCause value when execution resumed here
-// because the previous attempt aborted. With RTM the hardware rewinds to this point;
-// with the soft engine a setjmp/longjmp pair does, and the caller must treat all
-// locals mutated inside the segment as rolled back (the split engine keeps them in the
-// tracked frame, which it snapshots and restores).
+// because the previous attempt aborted. A setjmp/longjmp pair rewinds to this point,
+// as the hardware would, and the caller must treat all locals mutated inside the
+// segment as rolled back (the split engine keeps them in the tracked frame, which it
+// snapshots and restores).
 #ifndef STACKTRACK_HTM_HTM_H_
 #define STACKTRACK_HTM_HTM_H_
 
 #include <atomic>
 #include <bit>
 #include <csetjmp>
+#include <cstddef>
 #include <cstdint>
 
 #include "htm/soft_backend.h"
@@ -38,7 +42,12 @@
 
 namespace stacktrack::htm {
 
-enum class BackendKind : uint8_t { kSoft, kRtm };
+// Residue: the software engine is the only HTM backend. perfbench records this name
+// in its config block and checks it, and cannot change in the same commit as the
+// library, so the one-value enum and its accessor stay until the benchmark drops the
+// field.
+enum class BackendKind : uint8_t { kSoft };
+constexpr BackendKind ActiveBackend() { return BackendKind::kSoft; }
 
 // Residue: the lazy engine is the only software engine. perfbench records this name
 // in its config block and cannot change in the same commit as the library, so the
@@ -70,45 +79,11 @@ constexpr const char* AbortCauseName(AbortCause cause) {
   return "unknown";
 }
 
-// Selects the backend for subsequent transactions. Must be called while no
-// transactions are running (benchmarks call it during setup).
-void SelectBackend(BackendKind kind);
-BackendKind ActiveBackend();
-
-// True when the CPU advertises RTM *and* a probe transaction managed to commit.
-bool RtmUsable();
-
-// ---- RTM primitives (implemented in rtm_backend.cc; stubs when not compiled in) ----
-int RtmBeginPoint();             // xbegin; returns kTxStarted or an AbortCause
-void RtmCommit();                // xend
-[[noreturn]] void RtmAbort(uint8_t code);
-bool RtmInTx();
-
-namespace internal {
-// Non-atomic on purpose: set once during single-threaded setup.
-inline BackendKind g_backend = BackendKind::kSoft;
-}  // namespace internal
-
-inline BackendKind ActiveBackendFast() { return internal::g_backend; }
-
-inline bool InTx() {
-  return ActiveBackendFast() == BackendKind::kRtm ? RtmInTx() : soft::CurrentTx().active;
-}
-
-// Commits the running transaction. With the soft backend a failed validation aborts —
-// longjmp back to the begin point — instead of returning.
-inline void TxCommit() {
-  if (ActiveBackendFast() == BackendKind::kRtm) {
-    RtmCommit();
-  } else {
-    soft::Commit();
-  }
-}
+// Commits the running transaction. A failed validation aborts — longjmp back to the
+// begin point — instead of returning.
+inline void TxCommit() { soft::Commit(); }
 
 [[noreturn]] inline void TxAbort(AbortCause cause) {
-  if (ActiveBackendFast() == BackendKind::kRtm) {
-    RtmAbort(static_cast<uint8_t>(cause));
-  }
   soft::Abort(static_cast<int>(cause));
 }
 
@@ -122,9 +97,6 @@ inline void TxCommit() {
 template <typename T>
 [[gnu::always_inline]] inline T TxLoad(const std::atomic<T>& src) {
   static_assert(sizeof(T) == 8 && std::is_trivially_copyable_v<T>);
-  if (ActiveBackendFast() == BackendKind::kRtm) {
-    return src.load(std::memory_order_acquire);
-  }
   return std::bit_cast<T>(
       soft::TxLoadWord(reinterpret_cast<const std::atomic<uint64_t>*>(&src)));
 }
@@ -132,25 +104,19 @@ template <typename T>
 template <typename T>
 [[gnu::always_inline]] inline void TxStore(std::atomic<T>& dst, T value) {
   static_assert(sizeof(T) == 8 && std::is_trivially_copyable_v<T>);
-  if (ActiveBackendFast() == BackendKind::kRtm) {
-    dst.store(value, std::memory_order_release);
-    return;
-  }
   soft::TxStoreWord(reinterpret_cast<std::atomic<uint64_t>*>(&dst),
                     std::bit_cast<uint64_t>(value));
 }
 
 // ---- Non-transactional interop --------------------------------------------------
-// Used by the slow path and the reclaimer. With RTM, plain atomics suffice (strong
-// isolation); with the soft engine these respect stripe versions so that concurrent
-// fast-path segments observe conflicts and torn reads are impossible.
+// Used by the slow path and the reclaimer. Real HTM's strong isolation would let plain
+// atomics serve here; the soft engine isolates only through its stripe versions, so
+// these respect them: concurrent fast-path segments observe the conflict, and torn
+// reads are impossible.
 
 template <typename T>
 inline T SafeLoad(const std::atomic<T>& src) {
   static_assert(sizeof(T) == 8 && std::is_trivially_copyable_v<T>);
-  if (ActiveBackendFast() == BackendKind::kRtm) {
-    return src.load(std::memory_order_acquire);
-  }
   return std::bit_cast<T>(
       soft::SafeLoadWord(reinterpret_cast<const std::atomic<uint64_t>*>(&src)));
 }
@@ -158,10 +124,6 @@ inline T SafeLoad(const std::atomic<T>& src) {
 template <typename T>
 inline void SafeStore(std::atomic<T>& dst, T value) {
   static_assert(sizeof(T) == 8 && std::is_trivially_copyable_v<T>);
-  if (ActiveBackendFast() == BackendKind::kRtm) {
-    dst.store(value, std::memory_order_release);
-    return;
-  }
   soft::SafeStoreWord(reinterpret_cast<std::atomic<uint64_t>*>(&dst),
                       std::bit_cast<uint64_t>(value));
 }
@@ -169,32 +131,24 @@ inline void SafeStore(std::atomic<T>& dst, T value) {
 template <typename T>
 inline bool SafeCas(std::atomic<T>& dst, T expected, T desired) {
   static_assert(sizeof(T) == 8 && std::is_trivially_copyable_v<T>);
-  if (ActiveBackendFast() == BackendKind::kRtm) {
-    return dst.compare_exchange_strong(expected, desired, std::memory_order_acq_rel);
-  }
   return soft::SafeCasWord(reinterpret_cast<std::atomic<uint64_t>*>(&dst),
                            std::bit_cast<uint64_t>(expected),
                            std::bit_cast<uint64_t>(desired));
 }
 
 // Invalidates every cache line in [addr, addr + length) by bumping its stripe version,
-// so that any running soft transaction that read the range aborts. Called by the
-// reclaimer just before a node's memory is poisoned and returned to the pool. No-op
-// under RTM (the poisoning stores themselves conflict).
+// so that any running transaction that read the range aborts. Called by the reclaimer
+// just before a node's memory is poisoned and returned to the pool. On real HTM the
+// poisoning stores themselves would conflict; the soft engine needs the explicit bump.
 inline void QuarantineRange(const void* addr, std::size_t length) {
-  if (ActiveBackendFast() == BackendKind::kSoft) {
-    soft::QuarantineRange(reinterpret_cast<uintptr_t>(addr), length);
-  }
+  soft::QuarantineRange(reinterpret_cast<uintptr_t>(addr), length);
 }
 
 // Arms/starts a transaction at this point. See the file comment for the frame-lifetime
 // contract. `setjmp` must appear literally at the expansion site; its jmp target lives
 // in the thread's soft transaction descriptor.
-#define ST_HTM_BEGIN_POINT()                                                      \
-  (::stacktrack::htm::ActiveBackendFast() == ::stacktrack::htm::BackendKind::kRtm \
-       ? ::stacktrack::htm::RtmBeginPoint()                                       \
-       : ::stacktrack::htm::soft::BeginPoint(                                     \
-             setjmp(::stacktrack::htm::soft::CurrentTx().env)))
+#define ST_HTM_BEGIN_POINT() \
+  ::stacktrack::htm::soft::BeginPoint(setjmp(::stacktrack::htm::soft::CurrentTx().env))
 
 }  // namespace stacktrack::htm
 

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "htm/stm_stats.h"
 #include "runtime/backoff.h"
 #include "runtime/fault.h"
 #include "runtime/machine_model.h"
@@ -28,10 +29,6 @@ void ResetTx(TxDesc& tx) {
 // `eager` distinguishes aborts raised at the access site from commit-time ones in
 // the engine counters; under lazy validation almost every conflict is commit-time.
 [[noreturn]] void AbortTx(TxDesc& tx, int cause, bool eager = false) {
-  const uint64_t footprint = tx.read_count + tx.write_count;
-  if (tx.stats.max_footprint < footprint) {
-    tx.stats.max_footprint = footprint;
-  }
   if (cause == kCauseConflict) {
     StmTxCounters& counters = CurrentStmCounters();
     eager ? ++counters.eager_conflict_aborts : ++counters.commit_conflict_aborts;
@@ -40,6 +37,16 @@ void ResetTx(TxDesc& tx) {
   ResetTx(tx);
   std::longjmp(tx.env, cause);
 }
+
+// Hands the trace layer its in-transaction probe (runtime/trace.h SetInTxProbe). On
+// real HTM an armed emit inside a segment is a guaranteed abort (its clock_gettime
+// reads the vvar page) that would silently force every fast-path segment onto the
+// slow path; the soft engine would not abort, so the trace layer aborts the process
+// when this answers yes.
+[[maybe_unused]] const bool g_trace_probe_registered = [] {
+  runtime::trace::SetInTxProbe([] { return tls_tx.active; });
+  return true;
+}();
 
 }  // namespace
 
@@ -86,7 +93,6 @@ uint64_t TxLoadWordChecked(uint64_t value, uint32_t stripe, uint64_t version) {
   }
   tx.read_log[index] = ReadEntry{stripe, version};
   tx.read_count = index + 1;
-  ++tx.stats.loads;
   if (tx.spurious_enabled && tx.rng.NextBool(tx.spurious_prob)) [[unlikely]] {
     AbortTx(tx, kCauseOther);
   }
@@ -99,7 +105,6 @@ uint64_t TxLoadWordAfterWrite(const std::atomic<uint64_t>* addr) {
   // segment, so a linear scan beats any hashing.
   for (uint32_t w = 0; w < tx.write_count; ++w) {
     if (tx.write_log[w].addr == addr) {
-      ++tx.stats.loads;  // counted so `loads` means "TxLoad calls"
       return tx.write_log[w].value;
     }
   }
@@ -123,7 +128,6 @@ uint64_t TxLoadWordContended(const std::atomic<uint64_t>* addr) {
       }
       tx.read_log[index] = ReadEntry{stripe, version};
       tx.read_count = index + 1;
-      ++tx.stats.loads;
       return value;
     }
     backoff.Pause();
@@ -139,9 +143,6 @@ void Commit() {
   if (!tx.active) {
     std::fprintf(stderr, "stacktrack: commit without an active soft transaction\n");
     std::abort();
-  }
-  if (tx.stats.max_footprint < tx.read_count + tx.write_count) {
-    tx.stats.max_footprint = tx.read_count + tx.write_count;
   }
 
   // Lock the stripes behind the write log, remembering pre-lock values. Bounded

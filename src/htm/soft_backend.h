@@ -40,12 +40,9 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "htm/stm_stats.h"
 #include "runtime/rand.h"
 
 namespace stacktrack::htm::soft {
-
-using TxStats = ::stacktrack::htm::TxStats;
 
 // Stripe values encode (version << 1) | locked.
 inline constexpr uint64_t kStripeLockBit = 1;
@@ -92,7 +89,6 @@ struct TxDesc {
   ReadEntry read_log[kReadLogEntries] = {};
   WriteLogEntry write_log[kWriteLogEntries] = {};
   runtime::Xorshift128 rng{0x5eedbeef};
-  TxStats stats;
 };
 
 // Inline and constant-initialized: an access is a fixed offset from the thread
@@ -143,7 +139,6 @@ uint64_t TxLoadWordAfterWrite(const std::atomic<uint64_t>* addr);
     // value returned here is never acted on beyond the zombie window the file
     // comment already admits. Only set on the fast path, so spurious-injection
     // regimes (fast_read_limit == 0) keep their one-RNG-draw-per-read semantics.
-    ++tx.stats.loads;
     return addr->load(std::memory_order_acquire);
   }
   const uint32_t stripe = StripeIndexOf(reinterpret_cast<uintptr_t>(addr));
@@ -164,7 +159,6 @@ uint64_t TxLoadWordAfterWrite(const std::atomic<uint64_t>* addr);
   tx.read_log[index] = ReadEntry{stripe, version};
   tx.read_count = index + 1;
   tx.last_read_line = line;
-  ++tx.stats.loads;
   return value;
 }
 
@@ -180,7 +174,6 @@ uint64_t TxLoadWordAfterWrite(const std::atomic<uint64_t>* addr);
 
 [[gnu::always_inline]] inline void TxStoreWord(std::atomic<uint64_t>* addr, uint64_t value) {
   TxDesc& tx = tls_tx;
-  ++tx.stats.stores;
   for (uint32_t w = 0; w < tx.write_count; ++w) {
     if (tx.write_log[w].addr == addr) {
       tx.write_log[w].value = value;

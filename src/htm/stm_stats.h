@@ -1,22 +1,15 @@
-// Per-transaction and per-thread statistics of the software engine.
+// Per-thread event counters of the software engine.
 //
-// TxStats lives inside the engine's transaction descriptor and tracks the running
-// transaction's access profile. StmTxCounters is a thread-local accumulator of
-// engine-internal events (stripe waits, where aborts were detected) that the split
-// engine folds into core::Stats at segment boundaries via htm::ConsumeStmCounters() —
-// the engine itself never sees core::Stats, keeping the htm → runtime layering intact.
+// StmTxCounters is a thread-local accumulator of engine-internal events (stripe waits,
+// where aborts were detected) that the split engine folds into core::Stats at segment
+// boundaries via htm::ConsumeStmCounters() — the engine itself never sees core::Stats,
+// keeping the htm → runtime layering intact.
 #ifndef STACKTRACK_HTM_STM_STATS_H_
 #define STACKTRACK_HTM_STM_STATS_H_
 
 #include <cstdint>
 
 namespace stacktrack::htm {
-
-struct TxStats {
-  uint64_t loads = 0;          // TxLoadWord calls since the thread's first transaction
-  uint64_t stores = 0;         // TxStoreWord calls, ditto
-  uint64_t max_footprint = 0;  // largest read+write log population seen at commit/abort
-};
 
 // Engine-internal event counts since the last ConsumeStmCounters() drain.
 struct StmTxCounters {

@@ -36,7 +36,6 @@ namespace stacktrack::runtime::fault {
 
 enum class Site : uint8_t {
   kSoftTxAbort = 0,  // forced abort at soft-HTM segment begin (htm/soft_backend.cc)
-  kRtmTxAbort,       // forced xabort right after xbegin (htm/rtm_backend.cc)
   kSplitsBump,       // scanner observes a phantom splits-counter change (both scans)
   kInspectStall,     // reclaimer stalls inside the inspection window (both scans)
   kExposeStall,      // owner stalls mid register exposure (splits seqlock held odd)

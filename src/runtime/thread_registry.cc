@@ -1,7 +1,5 @@
 #include "runtime/thread_registry.h"
 
-#include <pthread.h>
-
 #include <cstdio>
 #include <cstdlib>
 
@@ -11,26 +9,6 @@ namespace {
 thread_local uint32_t tls_thread_id = kInvalidThreadId;
 thread_local uint32_t tls_scope_depth = 0;
 
-// Queries the pthread stack extent of the calling thread. Falls back to a synthetic
-// 8 MiB window around a local if the platform query fails (still safe: scans only read).
-void QueryStackBounds(uintptr_t* lo, uintptr_t* hi) {
-  pthread_attr_t attr;
-  void* addr = nullptr;
-  size_t size = 0;
-  if (pthread_getattr_np(pthread_self(), &attr) == 0) {
-    if (pthread_attr_getstack(&attr, &addr, &size) == 0 && addr != nullptr && size != 0) {
-      pthread_attr_destroy(&attr);
-      *lo = reinterpret_cast<uintptr_t>(addr);
-      *hi = *lo + size;
-      return;
-    }
-    pthread_attr_destroy(&attr);
-  }
-  const uintptr_t here = reinterpret_cast<uintptr_t>(&attr);
-  *lo = here > (8u << 20) ? here - (8u << 20) : 0;
-  *hi = here + (64u << 10);
-}
-
 }  // namespace
 
 ThreadRegistry& ThreadRegistry::Instance() {
@@ -39,15 +17,10 @@ ThreadRegistry& ThreadRegistry::Instance() {
 }
 
 uint32_t ThreadRegistry::RegisterCurrentThread() {
-  uintptr_t lo = 0;
-  uintptr_t hi = 0;
-  QueryStackBounds(&lo, &hi);
   for (uint32_t tid = 0; tid < kMaxThreads; ++tid) {
-    ThreadSlot& s = slots_[tid].value;
     bool expected = false;
-    if (s.in_use.compare_exchange_strong(expected, true, std::memory_order_acq_rel)) {
-      s.stack_lo.store(lo, std::memory_order_release);
-      s.stack_hi.store(hi, std::memory_order_release);
+    if (in_use_[tid].value.compare_exchange_strong(expected, true,
+                                                   std::memory_order_acq_rel)) {
       active_count_.fetch_add(1, std::memory_order_acq_rel);
       uint32_t watermark = high_watermark_.load(std::memory_order_relaxed);
       while (watermark < tid + 1 &&
@@ -83,11 +56,8 @@ void ThreadRegistry::Deregister(uint32_t tid) {
   for (uint32_t i = 0; i < hook_count; ++i) {
     exit_hooks_[i].load(std::memory_order_relaxed)(tid);
   }
-  ThreadSlot& s = slots_[tid].value;
-  s.stack_lo.store(0, std::memory_order_release);
-  s.stack_hi.store(0, std::memory_order_release);
   active_count_.fetch_sub(1, std::memory_order_acq_rel);
-  s.in_use.store(false, std::memory_order_release);
+  in_use_[tid].value.store(false, std::memory_order_release);
 }
 
 uint32_t CurrentThreadId() { return tls_thread_id; }

@@ -3,8 +3,7 @@
 // Every thread that touches a reclamation-managed data structure registers here first.
 // Registration hands out a small dense thread id (reused after deregistration) that all
 // other modules use to index per-thread slots: the StackTrack activity array, hazard
-// pointer rows, epoch timestamps, pool caches. The registry also records each thread's
-// stack bounds so the StackTrack free procedure can scan raw stack memory.
+// pointer rows, epoch timestamps, pool caches.
 #ifndef STACKTRACK_RUNTIME_THREAD_REGISTRY_H_
 #define STACKTRACK_RUNTIME_THREAD_REGISTRY_H_
 
@@ -21,13 +20,6 @@ namespace stacktrack::runtime {
 // a single indexed load.
 inline constexpr uint32_t kMaxThreads = 64;
 inline constexpr uint32_t kInvalidThreadId = ~0u;
-
-struct ThreadSlot {
-  std::atomic<bool> in_use{false};
-  // Bounds of the owning thread's stack ([lo, hi)), discovered at registration.
-  std::atomic<uintptr_t> stack_lo{0};
-  std::atomic<uintptr_t> stack_hi{0};
-};
 
 class ThreadRegistry {
  public:
@@ -46,7 +38,7 @@ class ThreadRegistry {
   ThreadRegistry(const ThreadRegistry&) = delete;
   ThreadRegistry& operator=(const ThreadRegistry&) = delete;
 
-  // Claims a free slot, records stack bounds, and returns the thread id.
+  // Claims a free slot and returns the thread id.
   // Aborts the process if more than kMaxThreads threads register at once.
   uint32_t RegisterCurrentThread();
 
@@ -66,12 +58,10 @@ class ThreadRegistry {
   // Highest slot index ever claimed + 1; scan loops iterate [0, high_watermark()).
   uint32_t high_watermark() const { return high_watermark_.load(std::memory_order_acquire); }
 
-  const ThreadSlot& slot(uint32_t tid) const { return slots_[tid].value; }
-
  private:
   ThreadRegistry() = default;
 
-  CacheAligned<ThreadSlot> slots_[kMaxThreads];
+  CacheAligned<std::atomic<bool>> in_use_[kMaxThreads];
   std::atomic<uint32_t> active_count_{0};
   std::atomic<uint32_t> high_watermark_{0};
   // Exit-hook chain: append-only, so a lock-free reader can walk [0, count) —

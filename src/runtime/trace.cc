@@ -38,12 +38,12 @@ void SetInTxProbe(bool (*probe)()) { g_in_tx_probe = probe; }
 
 void EmitSlow(Event event, uint64_t arg) {
   if (g_in_tx_probe != nullptr && g_in_tx_probe()) {
-    // This site would abort RTM deterministically (clock_gettime below reads the
-    // vvar page) and silently push every operation onto the slow path. The soft
-    // backend reaches this branch instead of aborting, so CI fails loudly.
+    // On real HTM this site would abort deterministically (clock_gettime below
+    // reads the vvar page) and silently push every operation onto the slow path.
+    // The soft engine reaches this branch instead of aborting, so fail loudly.
     std::fprintf(stderr,
                  "stacktrack: armed trace emit (%s) inside a transaction; emit sites "
-                 "must not be reachable between xbegin and xend\n",
+                 "must not be reachable between a begin point and its commit\n",
                  EventName(event));
     std::abort();
   }

@@ -38,8 +38,9 @@ namespace stacktrack::runtime::trace {
 // equals the corresponding Stats counter delta.
 enum class Event : uint16_t {
   kSegmentBegin = 0,     // fast segment arm attempt, recorded before the transaction
-                         // begins (an armed emit inside one would abort RTM); an
-                         // aborted attempt still shows its begin. arg = split limit
+                         // begins (on real HTM an armed emit inside one is an
+                         // abort); an aborted attempt still shows its begin.
+                         // arg = split limit
   kSegmentCommit,        // final (operation-ending) commit; arg = steps executed
   kSegmentAbort,         // transactional abort; arg = htm::AbortCause code:
                          // 1 conflict, 2 capacity, 3 explicit, 4 other
@@ -158,10 +159,10 @@ void EmitSlow(Event event, uint64_t arg);  // out of line: tid lookup + ring sto
 
 // Registers the "is the calling thread inside a transaction?" probe (the HTM layer
 // does this at static-init time). EmitSlow aborts the process when the probe answers
-// yes: an armed emit's clock_gettime reads the vvar page, a guaranteed RTM abort, so
-// an emit site reachable between xbegin and xend would silently kill every fast-path
-// segment. The soft backend tracks its transaction state portably, so the guard
-// catches a misplaced site in CI even where TSX is absent.
+// yes. Fidelity to real HTM: an armed emit's clock_gettime reads the vvar page, a
+// guaranteed hardware abort, so an emit site reachable between a segment's begin
+// point and its commit would silently kill every fast-path segment there. The soft
+// engine would not abort, so this guard makes a misplaced site fail loudly instead.
 void SetInTxProbe(bool (*probe)());
 
 // The one call every emit site makes. Disarmed: one relaxed load, no call.

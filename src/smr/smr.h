@@ -37,7 +37,7 @@
 // bracket an operation. They are the program points the paper's compiler pass
 // injects (Algorithms 2 and 3): an init/arm at operation start, one checkpoint per
 // basic block, and a final commit at every exit. They are macros because the
-// transaction begin point (setjmp with the software backend, xbegin with RTM) must be
+// transaction begin point (a setjmp, standing in for the hardware's xbegin) must be
 // expanded lexically inside a stack frame that outlives the whole segment — the
 // operation function's frame. The paper's pass runs post-inlining and has the same
 // property. Usage (see src/ds/ and examples/rbtree_search.cc):
@@ -62,13 +62,13 @@
 //
 // Observability (runtime/trace.h, DESIGN.md §6): every transition these macros drive
 // is traced when armed — each fast-path arm attempt yields segment_begin (emitted in
-// PrepareSegment, *before* the begin point: an armed emit between xbegin and xend is
-// a guaranteed RTM abort, so aborted attempts show begin/abort pairs), the abort edge
-// is recorded at the backend's resume point with its AbortCause, slow segments yield
+// PrepareSegment, *before* the begin point: on real HTM an armed emit inside a segment
+// is a guaranteed abort, so aborted attempts show begin/abort pairs), the abort edge
+// is recorded at the engine's resume point with its AbortCause, slow segments yield
 // slow_path_entry, SMR_CHECKPOINT's commit yields checkpoint_split plus any
 // predictor_grow/shrink (whose packed arg carries the new limit and the cell
 // coordinates — core/predictor.h), and SMR_OP_END yields segment_commit. The macros
-// themselves contain no emit calls; the events fire inside the StContext/backends so
+// themselves contain no emit calls; the events fire inside StContext and the engine so
 // the expansion stays minimal. The per-segment length budget the macros consume comes
 // from the §5.3 streak predictor, which CommitSegment and SegmentAborted update
 // (DESIGN.md §5e).

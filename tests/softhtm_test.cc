@@ -48,7 +48,6 @@ TEST_F(SoftHtmTest, CommitPublishesBufferedWrites) {
 
 TEST_F(SoftHtmTest, ReadOwnWrites) {
   std::atomic<uint64_t> a{5};
-  const TxStats stats_before = soft::CurrentTx().stats;
   const int rc = ST_HTM_BEGIN_POINT();
   ASSERT_EQ(rc, kTxStarted);
   EXPECT_EQ(TxLoad(a), 5u);
@@ -58,12 +57,6 @@ TEST_F(SoftHtmTest, ReadOwnWrites) {
   EXPECT_EQ(TxLoad(a), 7u);  // write-after-write updates in place
   TxCommit();
   EXPECT_EQ(a.load(), 7u);
-  // The per-thread footprint stats actually tick: three loads (including the
-  // buffered-value hits), two stores, and a nonzero high-water footprint.
-  const TxStats& stats = soft::CurrentTx().stats;
-  EXPECT_EQ(stats.loads, stats_before.loads + 3);
-  EXPECT_EQ(stats.stores, stats_before.stores + 2);
-  EXPECT_GT(stats.max_footprint, 0u);
 }
 
 TEST_F(SoftHtmTest, ConflictingNonTxStoreAbortsAtCommit) {
@@ -217,18 +210,6 @@ TEST_F(SoftHtmTest, TransfersAreAtomicToSafeReaders) {
   reader.join();
   EXPECT_EQ(torn.load(), 0u);
   EXPECT_EQ(account_a.load() + account_b.load(), 2000u);
-}
-
-TEST(RtmBackendTest, SelectionFallsBackWhenUnusable) {
-  if (RtmUsable()) {
-    SelectBackend(BackendKind::kRtm);
-    EXPECT_EQ(ActiveBackend(), BackendKind::kRtm);
-  } else {
-    SelectBackend(BackendKind::kRtm);
-    EXPECT_EQ(ActiveBackend(), BackendKind::kSoft);  // refused, kept soft
-  }
-  SelectBackend(BackendKind::kSoft);
-  EXPECT_EQ(ActiveBackend(), BackendKind::kSoft);
 }
 
 }  // namespace

@@ -37,7 +37,6 @@ class StmContractTest : public ::testing::TestWithParam<StmEngine> {
     runtime::fault::DisarmAll();
     runtime::MachineModel::Instance().Configure(runtime::MachineConfig{});
   }
-  static const TxStats& Stats() { return soft::CurrentTx().stats; }
   runtime::ThreadScope scope_;
 };
 
@@ -122,14 +121,13 @@ TEST_P(StmContractTest, QuarantineAbortsInFlightReaders) {
 // A fresh line read after the segment's first store takes the engine's
 // after-write path (read-own-writes scan, then the logged read) rather than the
 // inline fast path. That read must still enter the read set: quarantining its line
-// aborts the commit, and the load is counted.
+// aborts the commit.
 TEST_P(StmContractTest, ReadAfterStoreEntersReadSet) {
   alignas(64) static std::atomic<uint64_t> lines[16];
   std::atomic<uint64_t>& a = lines[0];
   std::atomic<uint64_t>& b = lines[8];  // next cache line
   a.store(0);
   b.store(9);
-  const TxStats before = Stats();
   volatile int aborts = 0;
   const int rc = ST_HTM_BEGIN_POINT();
   if (rc != kTxStarted) {
@@ -144,7 +142,6 @@ TEST_P(StmContractTest, ReadAfterStoreEntersReadSet) {
     FAIL() << "commit survived quarantine of a line read after a store";
   }
   EXPECT_EQ(aborts, 1);
-  EXPECT_EQ(Stats().loads, before.loads + 1);
   EXPECT_EQ(a.load(), 0u);  // the aborted store never published
 }
 
@@ -195,22 +192,6 @@ TEST_P(StmContractTest, FaultInjectedAbortAtBeginPoint) {
   runtime::fault::DisarmAll();
   EXPECT_EQ(aborts, 1);
   EXPECT_EQ(commits, 1);
-}
-
-TEST_P(StmContractTest, TxStatsCountLoadsStoresAndFootprint) {
-  std::atomic<uint64_t> a{1};
-  std::atomic<uint64_t> b{2};
-  const TxStats before = Stats();
-  const int rc = ST_HTM_BEGIN_POINT();
-  ASSERT_EQ(rc, kTxStarted);
-  TxLoad(a);
-  TxLoad(b);
-  TxStore(b, uint64_t{3});
-  TxCommit();
-  const TxStats& after = Stats();
-  EXPECT_EQ(after.loads, before.loads + 2);
-  EXPECT_EQ(after.stores, before.stores + 1);
-  EXPECT_GT(after.max_footprint, 0u);
 }
 
 // Interop CAS increments of +1 race transactional increments of +2; the final value

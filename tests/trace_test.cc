@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/stats_export.h"
+#include "htm/htm.h"
 #include "runtime/pool_alloc.h"
 #include "runtime/thread_registry.h"
 #include "runtime/trace.h"
@@ -161,11 +162,10 @@ TEST(TraceWorkloadTest, BatchEventArgsSumToCounterDeltas) {
 }
 
 // Emit-site placement contract: when armed, no emit may run between the transaction
-// begin point and its commit — EmitSlow's clock_gettime is a guaranteed RTM abort.
-// The HTM layer registers an in-transaction probe with the trace layer, and EmitSlow
-// aborts the process if an armed emit fires inside a transaction; the soft backend
-// tracks its transaction state, so driving the real fast path here enforces the
-// contract portably (a misplaced site kills this test even without TSX hardware).
+// begin point and its commit — on real HTM, EmitSlow's clock_gettime is a guaranteed
+// abort. The HTM layer registers an in-transaction probe with the trace layer, and
+// EmitSlow aborts the process if an armed emit fires inside a transaction, so driving
+// the real fast path here enforces the contract (a misplaced site kills this test).
 TEST(TraceWorkloadTest, ArmedFastPathEmitsOutsideTransactions) {
   runtime::ThreadScope scope;
   ArmedScope armed;
@@ -187,7 +187,7 @@ TEST(TraceWorkloadTest, ArmedFastPathEmitsOutsideTransactions) {
   trace::Arm(false);
 
   // The ops ran transactionally — tracing must not have pushed them onto the slow
-  // path (on RTM an in-transaction emit site does exactly that, silently).
+  // path (on real HTM an in-transaction emit site does exactly that, silently).
   EXPECT_GT(ctx.stats.segments_committed - committed_before, 0u);
   EXPECT_EQ(ctx.stats.segments_slow - slow_before, 0u);
   // Every arm attempt logged its begin record, outside the transaction.
@@ -198,6 +198,20 @@ TEST(TraceWorkloadTest, ArmedFastPathEmitsOutsideTransactions) {
     }
   }
   EXPECT_GE(begins, static_cast<uint64_t>(kOps));
+}
+
+// The guard the test above relies on: an armed emit inside a soft transaction must
+// kill the process. This fails if the HTM layer stops registering its probe.
+TEST(TraceDeathTest, ArmedEmitInsideATransactionAborts) {
+  EXPECT_DEATH(
+      {
+        runtime::ThreadScope scope;
+        if (ST_HTM_BEGIN_POINT() == htm::kTxStarted) {
+          trace::Arm(true);
+          trace::Emit(trace::Event::kRetire, 1);
+        }
+      },
+      "inside a transaction");
 }
 
 TEST(TraceExportTest, TraceJsonRoundTripsThroughMinijson) {
