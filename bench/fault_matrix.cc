@@ -1,12 +1,12 @@
 // Fault matrix: list throughput and peak unreclaimed memory per SMR scheme while the
-// sweep forces transaction aborts (the fault injector) and mid-operation thread
-// stalls (the preemption hook). The abort axis only affects StackTrack (the
-// transactional scheme); the stall axis hurts every scheme, but differently: epoch
-// reclamation backs up behind a stalled reader, while hazard pointers and StackTrack
-// only pin a bounded set of nodes. Stalls here are bounded sleeps of kStallUs,
-// drawn per traversal step from a thread-local RNG (runtime::ArmPreemption), so the
-// draw costs no shared write; an indefinitely parked thread would wedge the epoch
-// scheme's quiescence wait forever by design.
+// sweep forces transaction aborts (kSoftTxAbort) and mid-operation thread stalls
+// (kThreadStall, visited at every traversal step). The abort axis only affects
+// StackTrack (the transactional scheme); the stall axis hurts every scheme, but
+// differently: epoch reclamation backs up behind a stalled reader, while hazard
+// pointers and StackTrack only pin a bounded set of nodes. Stalls here are bounded
+// sleeps of kStallUs, a probability schedule drawn from the scenario seed (each
+// thread counts its own visits, so the draw costs no shared write); an indefinitely
+// parked thread would wedge the epoch scheme's quiescence wait forever by design.
 //
 // Each cell prefills its list fault-free, then arms the faults and takes the
 // live-object baseline, so the peak excess counts only what the run itself leaves
@@ -24,7 +24,6 @@
 #include "ds/list.h"
 #include "runtime/fault.h"
 #include "runtime/pool_alloc.h"
-#include "runtime/preempt.h"
 #include "smr/epoch.h"
 #include "smr/hazard.h"
 #include "smr/stacktrack_smr.h"
@@ -82,7 +81,8 @@ Cell Point(workload::Scenario scenario, double abort_prob, double stall_prob,
     fault::ArmProbability(fault::Site::kSoftTxAbort, abort_prob, scenario.keys.seed);
   }
   if (stall_prob > 0.0) {
-    runtime::ArmPreemption(stall_prob, stall_us);  // the runner disarms it at the end
+    fault::ArmProbability(fault::Site::kThreadStall, stall_prob, scenario.keys.seed,
+                          stall_us);
   }
   Cell cell;
   {
@@ -108,7 +108,7 @@ int Main() {
 
   for (const uint32_t threads : env.threads) {
     workload::Scenario scenario = workload::MapScenario(env, threads, 2000);
-    scenario.inject_preemption = false;  // the stall axis owns the preemption hook here
+    scenario.inject_preemption = false;  // the stall axis owns kThreadStall here
 
     std::printf("\n-- %u thread(s) --\n", threads);
     std::printf("%8s %8s | %18s %18s %18s\n", "abort_p", "stall_p", "Hazards", "Epoch",

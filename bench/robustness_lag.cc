@@ -306,6 +306,10 @@ int Main(int argc, char** argv) {
       return 2;
     }
   }
+  if (opt.scenario != "stall" && opt.scenario != "death" && opt.scenario != "none") {
+    std::fprintf(stderr, "--scenario=%s: expected stall|death|none\n", opt.scenario.c_str());
+    return 2;
+  }
   if (opt.smoke) {
     opt.duration_ms = workload::EnvConfig::Load(200).duration_ms;
     opt.stall_ms = opt.duration_ms / 4;

@@ -20,7 +20,9 @@
 // Preemption injection: once a scenario's thread count exceeds the machine model's
 // hardware contexts, simulated context switches are armed for the run (the
 // software-multiplexing regime that breaks epoch-based reclamation in the paper's
-// Figs. 1-2).
+// Figs. 1-2): the fault injector's kThreadStall site becomes a probability schedule of
+// sleeps at every traversal step, seeded from the scenario, so each thread replays its
+// own preemptions from ST_BENCH_SEED.
 #ifndef STACKTRACK_BENCH_WORKLOAD_RUNNER_H_
 #define STACKTRACK_BENCH_WORKLOAD_RUNNER_H_
 
@@ -36,8 +38,8 @@
 #include "bench/workload/scenario.h"
 #include "core/stats.h"
 #include "runtime/barrier.h"
+#include "runtime/fault.h"
 #include "runtime/machine_model.h"
-#include "runtime/preempt.h"
 #include "runtime/thread_registry.h"
 #include "runtime/trace.h"
 
@@ -91,7 +93,6 @@ inline OpKind PickOp(const OpMix& mix, KeyStream& keys) {
 // arming, timing, and histogram recording.
 template <typename Domain, typename OpFn>
 RunResult RunScenario(Domain& domain, const Scenario& scenario, OpFn op) {
-  const auto& model = runtime::MachineModel::Instance();
   std::atomic<bool> stop{false};
   runtime::SpinBarrier barrier(scenario.threads + 1);
 
@@ -112,9 +113,13 @@ RunResult RunScenario(Domain& domain, const Scenario& scenario, OpFn op) {
 
   const core::Stats stats_before = domain.Snapshot();
 
-  const bool oversubscribed = scenario.threads > model.config().hardware_contexts();
-  if (scenario.inject_preemption && oversubscribed) {
-    runtime::ArmPreemption(model.config().preempt_prob, model.config().preempt_delay_us);
+  const runtime::MachineConfig& machine = runtime::MachineModel::Instance().config();
+  const bool preempt =
+      scenario.inject_preemption && scenario.threads > machine.hardware_contexts();
+  if (preempt) {
+    runtime::fault::ArmProbability(runtime::fault::Site::kThreadStall,
+                                   machine.preempt_prob, scenario.keys.seed,
+                                   machine.preempt_delay_us);
   }
 
   for (uint32_t t = 0; t < scenario.threads; ++t) {
@@ -148,7 +153,9 @@ RunResult RunScenario(Domain& domain, const Scenario& scenario, OpFn op) {
     worker.join();
   }
   const auto end = std::chrono::steady_clock::now();
-  runtime::DisarmPreemption();
+  if (preempt) {
+    runtime::fault::Disarm(runtime::fault::Site::kThreadStall);
+  }
 
   RunResult result;
   for (const PerThread& mine : per_thread) {

@@ -316,6 +316,10 @@ int Main(int argc, char** argv) {
       return 2;
     }
   }
+  if (opt.preset != "a" && opt.preset != "b" && opt.preset != "c" && opt.preset != "all") {
+    std::fprintf(stderr, "--preset=%s: expected a|b|c|all\n", opt.preset.c_str());
+    return 2;
+  }
   std::vector<std::string> schemes;
   if (!smr::ResolveSchemeSelection(opt.scheme, smr::AllSchemeNames(), &schemes)) {
     return opt.scheme == "help" ? 0 : 2;

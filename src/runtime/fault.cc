@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include "runtime/rand.h"
 #include "runtime/thread_registry.h"
 
 namespace stacktrack::runtime::fault {
@@ -15,16 +16,18 @@ using internal::SiteState;
 using internal::StateOf;
 
 std::atomic<uint64_t> g_stalled_mask{0};
-std::atomic<uint64_t> g_death_mask{0};
 
-// SplitMix64 finalizer: the per-visit fire decision is Mix(seed ^ site ^ visit), so a
-// schedule replays exactly from its seed without any RNG state to synchronize.
-uint64_t Mix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+// The calling thread's visits to one site, valid for the arm generation they were
+// counted under: a re-armed site restarts every thread's count at its next visit.
+// Probability mode draws once per visit from a private stream seeded with (seed,
+// site, tid) at that restart, so the Nth draw is a pure function of those and N, and
+// no RNG state is shared between threads.
+struct ThreadVisits {
+  uint64_t generation = 0;
+  uint64_t count = 0;
+  Xorshift128 stream;
+};
+constinit thread_local ThreadVisits tls_visits[kSiteCount];
 
 void Arm(Site site, uint32_t mode, uint32_t threshold, uint64_t first, uint64_t period,
          uint64_t seed, uint32_t payload, uint32_t tid) {
@@ -36,7 +39,7 @@ void Arm(Site site, uint32_t mode, uint32_t threshold, uint64_t first, uint64_t 
   s.seed.store(seed, std::memory_order_relaxed);
   s.payload.store(payload, std::memory_order_relaxed);
   s.target_tid.store(tid, std::memory_order_relaxed);
-  s.visits.store(0, std::memory_order_relaxed);
+  s.generation.fetch_add(1, std::memory_order_relaxed);
   s.fires.store(0, std::memory_order_relaxed);
   s.mode.store(mode, std::memory_order_release);
   if (!was_armed) {
@@ -58,15 +61,22 @@ bool ShouldFireSlow(Site site) {
   if (target != kAnyThread && target != CurrentThreadId()) {
     return false;
   }
-  const uint64_t visit = s.visits.fetch_add(1, std::memory_order_relaxed) + 1;
+  const uint32_t index = static_cast<uint32_t>(site);
+  ThreadVisits& mine = tls_visits[index];
+  const uint64_t generation = s.generation.load(std::memory_order_relaxed);
+  if (mine.generation != generation) {
+    mine.generation = generation;
+    mine.count = 0;
+    mine.stream.Seed(s.seed.load(std::memory_order_relaxed) ^ (uint64_t{index} << 56) ^
+                     CurrentThreadId());
+  }
+  const uint64_t visit = ++mine.count;
   bool fire = false;
   switch (mode) {
-    case kModeProbability: {
-      const uint64_t hash = Mix(s.seed.load(std::memory_order_relaxed) ^
-                                (uint64_t{static_cast<uint32_t>(site)} << 56) ^ visit);
-      fire = static_cast<uint32_t>(hash >> 32) < s.threshold.load(std::memory_order_relaxed);
+    case kModeProbability:
+      fire = static_cast<uint32_t>(mine.stream.Next() >> 32) <
+             s.threshold.load(std::memory_order_relaxed);
       break;
-    }
     case kModeNthVisit: {
       const uint64_t first = s.first.load(std::memory_order_relaxed);
       const uint64_t period = s.period.load(std::memory_order_relaxed);
@@ -112,16 +122,6 @@ void MaybeStallSlow(Site site) {
   }
 }
 
-void ThreadFaultPointSlow() {
-  MaybeStallSlow(Site::kThreadStall);
-  if (ShouldFireSlow(Site::kThreadDeath)) {
-    const uint32_t tid = CurrentThreadId();
-    if (tid < 64) {
-      g_death_mask.fetch_or(uint64_t{1} << tid, std::memory_order_acq_rel);
-    }
-  }
-}
-
 }  // namespace internal
 
 void ArmProbability(Site site, double prob, uint64_t seed, uint32_t payload, uint32_t tid) {
@@ -158,10 +158,6 @@ void DisarmAll() {
   }
 }
 
-uint64_t Visits(Site site) {
-  return StateOf(site).visits.load(std::memory_order_acquire);
-}
-
 uint64_t Fires(Site site) {
   return StateOf(site).fires.load(std::memory_order_acquire);
 }
@@ -175,15 +171,5 @@ uint64_t StalledMask() { return g_stalled_mask.load(std::memory_order_acquire); 
 bool IsStalled(uint32_t tid) {
   return tid < 64 && (StalledMask() & (uint64_t{1} << tid)) != 0;
 }
-
-bool DeathRequested() {
-  const uint32_t tid = CurrentThreadId();
-  return tid < 64 &&
-         (g_death_mask.load(std::memory_order_acquire) & (uint64_t{1} << tid)) != 0;
-}
-
-uint64_t DeathMask() { return g_death_mask.load(std::memory_order_acquire); }
-
-void ClearDeathRequests() { g_death_mask.store(0, std::memory_order_release); }
 
 }  // namespace stacktrack::runtime::fault

@@ -1,31 +1,32 @@
 // Deterministic, seeded fault-injection subsystem.
 //
 // StackTrack's robustness claim — reclamation stays non-blocking and memory stays
-// bounded while threads are preempted, stalled, or killed mid-operation — can only be
-// tested adversarially if those failures can be produced on demand and reproduced
-// exactly. This module provides named injection sites threaded through the hot layers
-// (transaction begin, the scan validation window, register exposure, allocation,
-// traversal preemption points). Each site is independently armed in one of three
-// modes:
+// bounded while threads are preempted or stalled mid-operation — can only be tested
+// adversarially if those failures can be produced on demand and reproduced exactly.
+// This module provides named injection sites threaded through the hot layers
+// (transaction begin, the scan validation window, register exposure, traversal
+// preemption points). Each site is independently armed in one of three modes:
 //
-//   * probability  — site fires on visit N iff hash(seed, site, N) < p. The decision
-//                    is a pure function of (seed, site, per-site visit index), so a
-//                    single-threaded run replays bit-identically from the seed, and a
-//                    multi-threaded run is deterministic per visit index (the global
-//                    interleaving of visits is the only nondeterminism).
-//   * Nth-visit    — site fires exactly on visit `first` and every `period` visits
-//                    after (period 0 = fire once). Fully deterministic schedules.
+//   * probability  — a thread's visit N fires iff the Nth draw of a stream seeded
+//                    with (seed, site, tid) is below p. The decision is a pure
+//                    function of (seed, site, thread id, that thread's visit index),
+//                    so every thread replays its own schedule from the seed whatever
+//                    the interleaving of threads. (The tid is the one the thread had
+//                    at its first visit since the arm.)
+//   * Nth-visit    — a thread's visit `first` fires, and every `period` visits after
+//                    (period 0 = fire once). Fully deterministic per-thread schedules.
 //   * gate         — site fires on every visit while armed; stall-capable sites block
 //                    the visiting thread until the gate is released. This is how tests
 //                    deterministically park a victim thread mid-operation.
 //
-// Sites can be targeted at one thread id so a test stalls a chosen victim while the
-// rest of the workload runs normally.
+// Visits are counted per thread: each thread keeps its own count per site and restarts
+// it when the site is re-armed (a per-site arm generation). Sites can be targeted at
+// one thread id so a test stalls a chosen victim while the rest of the workload runs
+// normally.
 //
-// Disarmed cost: one relaxed load of a process-wide armed counter per visit — the
-// same budget as runtime::PreemptPoint. Sites count visits and fires only while
-// armed, so the counters double as assertions ("the abort we recovered from really
-// was injected").
+// Disarmed cost: one relaxed load of a process-wide armed counter per visit. An armed
+// visit writes no shared memory unless it fires; the per-site fire counter doubles as
+// an assertion ("the abort we recovered from really was injected").
 #ifndef STACKTRACK_RUNTIME_FAULT_H_
 #define STACKTRACK_RUNTIME_FAULT_H_
 
@@ -39,9 +40,7 @@ enum class Site : uint8_t {
   kSplitsBump,       // scanner observes a phantom splits-counter change (both scans)
   kInspectStall,     // reclaimer stalls inside the inspection window (both scans)
   kExposeStall,      // owner stalls mid register exposure (splits seqlock held odd)
-  kAllocFail,        // transient pool allocation failure (runtime/pool_alloc.cc)
   kThreadStall,      // thread stalls at PreemptPoint (bounded sleep or gate)
-  kThreadDeath,      // requests that the thread abandon its workload loop
   kCount
 };
 
@@ -62,8 +61,8 @@ struct SiteState {
   std::atomic<uint64_t> period{0};     // Nth-visit: repeat period (0 = fire once)
   std::atomic<uint64_t> seed{0};
   std::atomic<uint32_t> target_tid{kAnyThread};
-  std::atomic<uint32_t> payload{0};  // site-specific: abort cause code, stall micros
-  std::atomic<uint64_t> visits{0};
+  std::atomic<uint32_t> payload{0};     // site-specific: abort cause code, stall micros
+  std::atomic<uint64_t> generation{0};  // bumped by every arm; restarts visit counts
   std::atomic<uint64_t> fires{0};
 };
 
@@ -76,7 +75,6 @@ inline SiteState& StateOf(Site site) { return g_sites[static_cast<uint32_t>(site
 // Cold path: the per-site decision. Defined in fault.cc.
 bool ShouldFireSlow(Site site);
 void MaybeStallSlow(Site site);
-void ThreadFaultPointSlow();
 
 }  // namespace internal
 
@@ -104,21 +102,17 @@ inline void MaybeStall(Site site) {
   internal::MaybeStallSlow(site);
 }
 
-// The PreemptPoint() hook: evaluates kThreadStall and kThreadDeath for the calling
-// thread. Callers guard with AnyArmed().
-inline void ThreadFaultPoint() { internal::ThreadFaultPointSlow(); }
-
 // ---- Arming -------------------------------------------------------------------
 
-// Fires each visit with probability `prob`; the decision for visit N is a pure
-// function of (seed, site, N). `payload` is site-specific (abort cause for the
-// kTxAbort sites, stall microseconds for the stall sites). `tid` restricts firing to
+// Fires each visit with probability `prob`; a thread's visit N fires as a pure
+// function of (seed, site, tid, N). `payload` is site-specific (abort cause for
+// kSoftTxAbort, stall microseconds for the stall sites). `tid` restricts firing to
 // one registered thread id.
 void ArmProbability(Site site, double prob, uint64_t seed, uint32_t payload = 0,
                     uint32_t tid = kAnyThread);
 
-// Fires on visit `first` (1-based) and every `period` visits after; period 0 fires
-// exactly once.
+// Fires on each thread's visit `first` (1-based) and every `period` visits after;
+// period 0 fires exactly once per thread.
 void ArmNthVisit(Site site, uint64_t first, uint64_t period = 0, uint32_t payload = 0,
                  uint32_t tid = kAnyThread);
 
@@ -132,20 +126,12 @@ void DisarmAll();
 
 // ---- Observability -------------------------------------------------------------
 
-uint64_t Visits(Site site);
-uint64_t Fires(Site site);
+uint64_t Fires(Site site);  // since the site was last armed, over all threads
 uint32_t Payload(Site site);
 
 // Bit `tid` is set while that thread is parked in a stall gate.
 uint64_t StalledMask();
 bool IsStalled(uint32_t tid);
-
-// kThreadDeath support: once the site fires for a thread, DeathRequested() stays true
-// for it until ClearDeathRequests(). Workload loops poll it and exit, which exercises
-// the thread-exit reclamation handoff.
-bool DeathRequested();
-uint64_t DeathMask();
-void ClearDeathRequests();
 
 }  // namespace stacktrack::runtime::fault
 

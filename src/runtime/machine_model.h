@@ -8,12 +8,13 @@
 // cannot come from silicon; MachineModel reproduces them deterministically:
 //  * the software HTM asks for the per-transaction footprint budget here, which shrinks
 //    when the registered thread count exceeds the modeled core count (shared L1), and
-//  * the benchmark harness asks for a preemption quantum once threads exceed the
-//    modeled hardware-context count.
+//  * once threads exceed the modeled hardware-context count, the benchmark runner arms
+//    the fault injector's kThreadStall site with this model's preemption probability
+//    and sleep, seeded from the scenario, so ST_BENCH_SEED replays each thread's
+//    preemption schedule.
 #ifndef STACKTRACK_RUNTIME_MACHINE_MODEL_H_
 #define STACKTRACK_RUNTIME_MACHINE_MODEL_H_
 
-#include <atomic>
 #include <cstdint>
 
 namespace stacktrack::runtime {
@@ -49,8 +50,10 @@ class MachineModel {
   MachineModel(const MachineModel&) = delete;
   MachineModel& operator=(const MachineModel&) = delete;
 
-  void Configure(const MachineConfig& config);
-  MachineConfig config() const;
+  // Quiescent only: call between phases, never while another thread may begin a
+  // transaction or run a scenario. Readers take no lock.
+  void Configure(const MachineConfig& config) { config_ = config; }
+  const MachineConfig& config() const { return config_; }
 
   // Footprint budget in cache lines for a transaction started now, given the number of
   // currently registered threads.
@@ -62,7 +65,6 @@ class MachineModel {
  private:
   MachineModel() = default;
 
-  mutable std::atomic<uint64_t> version_{0};
   MachineConfig config_{};
 };
 

@@ -11,8 +11,6 @@
 #include <cstring>
 #include <vector>
 
-#include "runtime/backoff.h"
-#include "runtime/fault.h"
 #include "runtime/thread_registry.h"
 
 namespace stacktrack::runtime {
@@ -174,37 +172,7 @@ std::size_t PoolAllocator::ClassIndexFor(std::size_t size) {
   return index;
 }
 
-void PoolAllocator::DirectoryInsert(uintptr_t slab, std::size_t class_index) {
-  const uintptr_t packed = slab | static_cast<uintptr_t>(class_index + 1);
-  std::size_t slot = DirectorySlotOf(slab);
-  for (std::size_t probes = 0; probes < kDirectorySlots; ++probes) {
-    uintptr_t expected = 0;
-    if (directory_[slot].compare_exchange_strong(expected, packed, std::memory_order_acq_rel)) {
-      return;
-    }
-    slot = (slot + 1) & (kDirectorySlots - 1);
-  }
-  std::fprintf(stderr, "stacktrack: slab directory full (%zu slabs)\n", kDirectorySlots);
-  std::abort();
-}
-
-std::size_t PoolAllocator::DirectoryLookup(uintptr_t addr) const {
-  const uintptr_t slab = addr & ~(kSlabBytes - 1);
-  std::size_t slot = DirectorySlotOf(slab);
-  for (std::size_t probes = 0; probes < kDirectorySlots; ++probes) {
-    const uintptr_t entry = directory_[slot].load(std::memory_order_acquire);
-    if (entry == 0) {
-      return kClassCount;  // not pool memory
-    }
-    if ((entry & ~(kSlabBytes - 1)) == slab) {
-      return (entry & (kSlabBytes - 1)) - 1;
-    }
-    slot = (slot + 1) & (kDirectorySlots - 1);
-  }
-  return kClassCount;
-}
-
-void PoolAllocator::RefillClass(SizeClass& size_class, std::size_t class_index) {
+void PoolAllocator::RefillClass(SizeClass& size_class) {
   // Transient mmap failure (address-space fragmentation, momentary commit pressure)
   // gets a few retries before the process gives up for good.
   char* slab = nullptr;
@@ -219,10 +187,6 @@ void PoolAllocator::RefillClass(SizeClass& size_class, std::size_t class_index) 
     std::abort();
   }
   bytes_mapped_.fetch_add(kSlabBytes, std::memory_order_relaxed);
-  // Publish before any block from this slab can be handed out: a scanner probing an
-  // address inside the slab must find the class mapping (the blocks it resolves are
-  // dead — zero magic — until their first allocation).
-  DirectoryInsert(reinterpret_cast<uintptr_t>(slab), class_index);
   size_class.bump_cursor = slab;
   size_class.bump_limit = slab + kSlabBytes;
 }
@@ -243,7 +207,7 @@ std::size_t PoolAllocator::RefillBatch(std::size_t class_index, void** out, std:
   while (n < want) {
     if (size_class.bump_cursor == nullptr ||
         size_class.bump_cursor + size_class.block_bytes > size_class.bump_limit) {
-      RefillClass(size_class, class_index);
+      RefillClass(size_class);
     }
     BlockHeader* header = reinterpret_cast<BlockHeader*>(size_class.bump_cursor);
     size_class.bump_cursor += size_class.block_bytes;
@@ -266,34 +230,6 @@ void PoolAllocator::FlushBatch(std::size_t class_index, void* const* items, std:
 }
 
 void* PoolAllocator::Alloc(std::size_t size) {
-  void* user = AllocImpl(size);
-  if (user == nullptr) [[unlikely]] {
-    // Injected allocation failure: absorb it here so every existing call site keeps
-    // the non-null contract. The retry is bounded only by the injection schedule; a
-    // schedule that fails every visit forever is a configuration error, matching the
-    // pre-existing abort-on-OOM policy.
-    ExponentialBackoff backoff(64, 8192);
-    do {
-      alloc_fault_retries_.fetch_add(1, std::memory_order_relaxed);
-      backoff.Pause();
-      user = AllocImpl(size);
-    } while (user == nullptr);
-  }
-  return user;
-}
-
-void* PoolAllocator::AllocOrNull(std::size_t size) {
-  void* user = AllocImpl(size);
-  if (user == nullptr) {
-    alloc_fault_retries_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return user;
-}
-
-void* PoolAllocator::AllocImpl(std::size_t size) {
-  if (fault::ShouldFire(fault::Site::kAllocFail)) [[unlikely]] {
-    return nullptr;
-  }
   const std::size_t index = ClassIndexFor(size);
   void* user;
   PoolThreadCache* cache = GetCache();
@@ -370,40 +306,13 @@ std::size_t PoolAllocator::UsableSize(const void* ptr) const {
   return ClassUserBytes(HeaderOf(ptr)->class_index);
 }
 
-bool PoolAllocator::ResolvePoolAddress(uintptr_t addr, uintptr_t* base) const {
-  const std::size_t class_index = DirectoryLookup(addr);
-  if (class_index >= kClassCount) {
-    return false;
-  }
-  const uintptr_t slab = addr & ~(kSlabBytes - 1);
-  const std::size_t block_bytes = kHeaderBytes + ClassUserBytes(class_index);
-  const std::size_t offset = addr - slab;
-  const std::size_t block_index = offset / block_bytes;
-  if (block_index >= kSlabBytes / block_bytes) {
-    *base = 0;  // tail remnant too small to hold a block
-    return true;
-  }
-  const uintptr_t block = slab + block_index * block_bytes;
-  const uintptr_t user = block + kHeaderBytes;
-  if (addr < user) {
-    *base = 0;  // inside the block header, not user data
-    return true;
-  }
-  const auto* header = reinterpret_cast<const BlockHeader*>(block);
-  *base = header->magic.load(std::memory_order_acquire) == kLiveMagic ? user : 0;
-  return true;
-}
-
 bool PoolAllocator::OwnsLive(const void* ptr) const {
-  uintptr_t base = 0;
-  return ResolvePoolAddress(reinterpret_cast<uintptr_t>(ptr), &base) &&
-         base == reinterpret_cast<uintptr_t>(ptr);
+  return HeaderOf(ptr)->magic.load(std::memory_order_acquire) == kLiveMagic;
 }
 
 PoolStats PoolAllocator::GetStats() const {
   PoolStats stats;
   stats.bytes_mapped = bytes_mapped_.load(std::memory_order_relaxed);
-  stats.alloc_fault_retries = alloc_fault_retries_.load(std::memory_order_relaxed);
   uint64_t allocs;
   uint64_t frees;
   {

@@ -4,15 +4,13 @@
 //  * Memory handed out comes from 2 MiB-aligned slabs that are NEVER unmapped, so a
 //    speculative (doomed) reader inside a software-HTM segment can dereference a stale
 //    node pointer without faulting — the same safety HTM isolation provides on silicon.
-//  * An object never spans a 2 MiB boundary (keeps slab-directory queries
-//    single-region).
+//  * An object never spans a 2 MiB boundary.
 //  * Freed objects are poisoned with kPoisonByte so tests and assertions can detect
 //    use-after-free values deterministically.
-//  * A slab serves exactly ONE size class forever, so any interior pointer resolves to
-//    its block base with pure arithmetic: directory[addr >> 21] yields the class, the
-//    block index is a division, and a magic-word check answers liveness — no latch, no
-//    tree walk (the scan path's OwnsLive/UsableSize run latch-free; the scan resolves
-//    interior pointers by range containment against UsableSize).
+//  * Every block carries a header (size class + magic word) just below its user base,
+//    so the scan path's OwnsLive/UsableSize are one header load each, latch-free. The
+//    scan resolves interior pointers by range containment against UsableSize, so it
+//    only ever asks about block bases the pool handed out.
 //
 // Scalability structure (front to back):
 //  * Per-thread magazines: each thread caches a small LIFO of free blocks per size
@@ -43,8 +41,6 @@ struct PoolStats {
   std::size_t live_objects = 0;
   std::size_t total_allocs = 0;
   std::size_t total_frees = 0;
-  // Allocations that hit an injected fault (fault::Site::kAllocFail) and retried.
-  std::size_t alloc_fault_retries = 0;
 };
 
 struct PoolThreadCache;  // per-thread magazine cache; defined in pool_alloc.cc
@@ -56,15 +52,9 @@ class PoolAllocator {
   PoolAllocator(const PoolAllocator&) = delete;
   PoolAllocator& operator=(const PoolAllocator&) = delete;
 
-  // Allocates at least `size` bytes (16-byte aligned). Aborts on OOM — benchmark
-  // processes have no sensible recovery. Injected allocation faults
-  // (fault::Site::kAllocFail) are absorbed by bounded retry with backoff, so the
-  // non-null contract holds for existing callers even under injection.
+  // Allocates at least `size` bytes (16-byte aligned). Never returns nullptr: it
+  // aborts on OOM — benchmark processes have no sensible recovery.
   void* Alloc(std::size_t size);
-
-  // Like Alloc, but surfaces injected allocation faults as nullptr instead of
-  // retrying. For callers (and tests) that handle allocation failure themselves.
-  void* AllocOrNull(std::size_t size);
 
   // Returns the block to the calling thread's magazine (overflow drains to the
   // size-class free list) after poisoning the user area. The pages stay mapped
@@ -74,8 +64,9 @@ class PoolAllocator {
   // Usable size of a block returned by Alloc. Latch-free.
   std::size_t UsableSize(const void* ptr) const;
 
-  // True if `ptr` was produced by this allocator and is currently live. Latch-free:
-  // slab-directory arithmetic plus an acquire load of the block's magic word.
+  // True while the block at `ptr` is allocated. `ptr` must be a block base that Alloc
+  // returned (live or since freed): the answer is one acquire load of its header's
+  // magic word. Latch-free.
   bool OwnsLive(const void* ptr) const;
 
   // Drains the calling thread's magazines back to the shared free lists. Runs
@@ -106,13 +97,6 @@ class PoolAllocator {
   static constexpr std::size_t kMagazineCapacity = 32;
   static constexpr std::size_t kMagazineBatch = kMagazineCapacity / 2;
 
-  // Open-addressed slab directory: maps addr >> 21 to the slab's size class. Entries
-  // pack (slab_base | class_index + 1) into one word — slab bases are 2 MiB aligned,
-  // so the low 21 bits are free. Insert-only (slabs are never unmapped), hence a CAS
-  // publish and latch-free probes suffice. 8192 slots bound the pool at ~4096 slabs
-  // (8 GiB) before the load factor degrades; exceeding that aborts loudly.
-  static constexpr std::size_t kDirectorySlots = 8192;
-
   struct BlockHeader {
     uint32_t class_index;        // written once when the block is first carved
     std::atomic<uint32_t> magic; // kLiveMagic / kFreeMagic; scanners read latch-free
@@ -136,35 +120,17 @@ class PoolAllocator {
     return reinterpret_cast<BlockHeader*>(reinterpret_cast<uintptr_t>(user_ptr) - kHeaderBytes);
   }
 
-  // Maps a fresh 2 MiB-aligned slab for `class_index` and publishes it in the slab
-  // directory. Called with the class latch held.
-  void RefillClass(SizeClass& size_class, std::size_t class_index);
-
-  // Home probe slot for a slab base address.
-  static std::size_t DirectorySlotOf(uintptr_t slab) {
-    return (slab >> 21) * 0x9e3779b97f4a7c15ULL >> 51 & (kDirectorySlots - 1);
-  }
-  // Publishes slab -> class_index in the directory (CAS probe; aborts when full).
-  void DirectoryInsert(uintptr_t slab, std::size_t class_index);
-  // Returns class_index for the slab containing addr, or kClassCount on miss.
-  std::size_t DirectoryLookup(uintptr_t addr) const;
-  // Latch-free interior-pointer resolution (OwnsLive's arithmetic). Returns false when
-  // `addr` does not fall inside pool slab memory. Returns true with *base set to the
-  // owning live block's user base, or to 0 when the address hits a dead block, a
-  // block header, or a slab tail remnant.
-  bool ResolvePoolAddress(uintptr_t addr, uintptr_t* base) const;
+  // Maps a fresh 2 MiB-aligned slab as the class's bump region. Called with the class
+  // latch held.
+  void RefillClass(SizeClass& size_class);
 
   // Shared-layer batch transfer, both under the class latch: Refill pops up to `want`
   // free (or freshly carved) blocks into `out`; Flush pushes `count` blocks back.
   std::size_t RefillBatch(std::size_t class_index, void** out, std::size_t want);
   void FlushBatch(std::size_t class_index, void* const* items, std::size_t count);
 
-  void* AllocImpl(std::size_t size);
-
   CacheAligned<SizeClass> classes_[kClassCount];
-  std::atomic<uintptr_t> directory_[kDirectorySlots] = {};
   std::atomic<std::size_t> bytes_mapped_{0};
-  std::atomic<std::size_t> alloc_fault_retries_{0};
 };
 
 }  // namespace stacktrack::runtime

@@ -1,8 +1,8 @@
 // Tests for the fault-injection subsystem and the robustness machinery it drives:
-// deterministic schedules, forced transaction aborts, bounded inspection retries with
-// conservative answers, free-set back-pressure and the global deferred list, the
-// stalled-thread watchdog, the thread-exit reclamation handoff, and the interleavings
-// a deterministic stall pins down.
+// deterministic per-thread schedules, forced transaction aborts, bounded inspection
+// retries with conservative answers, free-set back-pressure and the global deferred
+// list, the stalled-thread watchdog, the thread-exit reclamation handoff, and the
+// interleavings a deterministic stall pins down.
 #include <gtest/gtest.h>
 
 #include <sched.h>
@@ -18,7 +18,6 @@
 #include "ds/skiplist.h"
 #include "runtime/fault.h"
 #include "runtime/pool_alloc.h"
-#include "runtime/preempt.h"
 #include "runtime/trace.h"
 #include "smr/leaky.h"
 #include "smr/stacktrack_smr.h"
@@ -36,13 +35,9 @@ class FaultTest : public ::testing::Test {
  protected:
   void SetUp() override {
     fault::DisarmAll();
-    fault::ClearDeathRequests();
     DrainDeferred();
   }
-  void TearDown() override {
-    fault::DisarmAll();
-    fault::ClearDeathRequests();
-  }
+  void TearDown() override { fault::DisarmAll(); }
 
   // Pops (and frees) anything a previous test's teardown left in the deferred list.
   static void DrainDeferred() {
@@ -70,18 +65,58 @@ TEST_F(FaultTest, NthVisitFiresOnExactSchedule) {
   const std::vector<bool> expected = {false, false, true, false, true,
                                       false, true,  false, true, false};
   EXPECT_EQ(fired, expected);
-  EXPECT_EQ(fault::Visits(Site::kSplitsBump), 10u);
   EXPECT_EQ(fault::Fires(Site::kSplitsBump), 4u);
 }
 
 TEST_F(FaultTest, NthVisitWithZeroPeriodFiresOnce) {
-  fault::ArmNthVisit(Site::kAllocFail, /*first=*/2, /*period=*/0);
+  fault::ArmNthVisit(Site::kSplitsBump, /*first=*/2, /*period=*/0);
   int fires = 0;
   for (int i = 0; i < 20; ++i) {
-    fires += fault::ShouldFire(Site::kAllocFail) ? 1 : 0;
+    fires += fault::ShouldFire(Site::kSplitsBump) ? 1 : 0;
   }
-  fault::Disarm(Site::kAllocFail);
+  fault::Disarm(Site::kSplitsBump);
   EXPECT_EQ(fires, 1);
+}
+
+// Visits are counted per thread: every thread replays the same schedule from its own
+// first visit, and a re-arm restarts the count.
+TEST_F(FaultTest, SchedulesCountEachThreadsOwnVisits) {
+  constexpr int kThreads = 4;
+  constexpr int kVisits = 10;
+  fault::ArmNthVisit(Site::kSplitsBump, /*first=*/3, /*period=*/0);
+  std::atomic<bool> go{false};
+  std::vector<std::vector<bool>> fired(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      runtime::ThreadScope scope;
+      while (!go.load(std::memory_order_acquire)) {
+        sched_yield();
+      }
+      for (int i = 0; i < kVisits; ++i) {
+        fired[t].push_back(fault::ShouldFire(Site::kSplitsBump));
+      }
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  std::vector<bool> expected(kVisits, false);
+  expected[2] = true;  // each thread's third visit
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(fired[t], expected) << "thread " << t;
+  }
+  EXPECT_EQ(fault::Fires(Site::kSplitsBump), static_cast<uint64_t>(kThreads));
+
+  // This thread visits twice, then the re-arm restarts its count.
+  EXPECT_FALSE(fault::ShouldFire(Site::kSplitsBump));
+  EXPECT_FALSE(fault::ShouldFire(Site::kSplitsBump));
+  fault::ArmNthVisit(Site::kSplitsBump, /*first=*/3, /*period=*/0);
+  EXPECT_FALSE(fault::ShouldFire(Site::kSplitsBump));
+  EXPECT_FALSE(fault::ShouldFire(Site::kSplitsBump));
+  EXPECT_TRUE(fault::ShouldFire(Site::kSplitsBump));
+  EXPECT_EQ(fault::Fires(Site::kSplitsBump), 1u);
 }
 
 TEST_F(FaultTest, ProbabilityScheduleReplaysFromSeed) {
@@ -110,23 +145,6 @@ TEST_F(FaultTest, TidTargetingRestrictsFiring) {
   fault::ArmGate(Site::kSplitsBump, /*tid=*/scope.tid());
   EXPECT_TRUE(fault::ShouldFire(Site::kSplitsBump));
   fault::Disarm(Site::kSplitsBump);
-}
-
-TEST_F(FaultTest, AllocFaultSurfacesAsNullThenAllocRetriesThrough) {
-  auto& pool = runtime::PoolAllocator::Instance();
-  fault::ArmNthVisit(Site::kAllocFail, /*first=*/1, /*period=*/0);
-  void* p = pool.AllocOrNull(64);
-  EXPECT_EQ(p, nullptr) << "injected failure must surface through AllocOrNull";
-  fault::Disarm(Site::kAllocFail);
-
-  const auto before = pool.GetStats();
-  fault::ArmNthVisit(Site::kAllocFail, /*first=*/1, /*period=*/0);
-  void* q = pool.Alloc(64);  // absorbs the injected failure internally
-  fault::Disarm(Site::kAllocFail);
-  ASSERT_NE(q, nullptr);
-  const auto after = pool.GetStats();
-  EXPECT_GT(after.alloc_fault_retries, before.alloc_fault_retries);
-  pool.Free(q);
 }
 
 TEST_F(FaultTest, ForcedSoftAbortIsRecoveredBySplitEngine) {
@@ -219,6 +237,70 @@ TEST_F(FaultTest, PhantomSplitsBumpExhaustsRetriesConservatively) {
   EXPECT_FALSE(core::InspectThread(reclaimer, target, reinterpret_cast<uintptr_t>(node),
                                    64, false));
   runtime::PoolAllocator::Instance().Free(node);
+}
+
+// A real committer parked mid-exposure (kExposeStall, after the splits counter went
+// odd and before its registers reach the exposed file) holds the only copy of a root
+// where no scanner can read it. Inspection must answer "live" at the retry cap and a
+// root-table round must count itself incomplete and free nothing; once the committer
+// resumes and ends its operation, the candidate is freed.
+TEST_F(FaultTest, ParkedExposureKeepsCandidatesUntilTheCommitterResumes) {
+  runtime::ThreadScope scope;
+  auto& pool = runtime::PoolAllocator::Instance();
+  core::StConfig config;
+  config.initial_split_limit = 1;  // the first checkpoint commits, so it exposes
+  config.inspect_retry_cap = 4;
+  smr::StackTrackSmr::Domain domain(config);
+  core::StContext& reclaimer = domain.AcquireHandle();
+  void* const node = pool.Alloc(64);
+
+  std::atomic<core::StContext*> victim_ctx{nullptr};
+  std::atomic<bool> go{false};
+  std::thread victim([&] {
+    runtime::ThreadScope inner;
+    core::StContext& ctx = domain.AcquireHandle();
+    victim_ctx.store(&ctx, std::memory_order_release);
+    while (!go.load(std::memory_order_acquire)) {
+      sched_yield();
+    }
+    SMR_OP_BEGIN(ctx, 0);
+    ctx.reg<void*>(0) = node;
+    SMR_CHECKPOINT(ctx);  // parks inside ExposeRegisters until the gate opens
+    SMR_OP_END(ctx);
+  });
+  while (victim_ctx.load(std::memory_order_acquire) == nullptr) {
+    sched_yield();
+  }
+  core::StContext& target = *victim_ctx.load(std::memory_order_acquire);
+  fault::ArmGate(Site::kExposeStall, target.tid());
+  go.store(true, std::memory_order_release);
+  bool parked = false;
+  for (int waited_ms = 0; waited_ms < 5000 && !parked; ++waited_ms) {
+    parked = fault::IsStalled(target.tid());
+    if (!parked) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  if (parked) {
+    EXPECT_EQ(target.splits_seq.load(std::memory_order_acquire) & 1, 1u);
+    const uint64_t capped_before = reclaimer.stats.scan_retry_capped;
+    EXPECT_TRUE(core::InspectThread(reclaimer, target, reinterpret_cast<uintptr_t>(node),
+                                    64, false))
+        << "an exposure in flight must answer live";
+    EXPECT_GT(reclaimer.stats.scan_retry_capped, capped_before);
+
+    const uint64_t incomplete_before = reclaimer.stats.snapshot_incomplete;
+    reclaimer.MutableFreeSet().push_back(node);
+    core::ScanAndFreeHashed(reclaimer);
+    EXPECT_GT(reclaimer.stats.snapshot_incomplete, incomplete_before);
+    EXPECT_TRUE(pool.OwnsLive(node)) << "freed a root the parked committer holds";
+    EXPECT_EQ(reclaimer.free_set_size(), 1u);
+  }
+  fault::ReleaseGate(Site::kExposeStall);
+  victim.join();
+  ASSERT_TRUE(parked) << "the victim never parked at kExposeStall";
+  EXPECT_EQ(reclaimer.FlushFrees(), 0u);
+  EXPECT_FALSE(pool.OwnsLive(node));
 }
 
 // When every scan answers "live" (injected phantom bumps), survivors must spill to
@@ -440,17 +522,6 @@ TEST_F(FaultTest, ExitingThreadHandsFreeSetToDeferredList) {
   EXPECT_EQ(pool.GetStats().live_objects, pool_before.live_objects);
 }
 
-TEST_F(FaultTest, ThreadDeathRequestIsVisibleAtPreemptPoints) {
-  runtime::ThreadScope scope;
-  fault::ArmNthVisit(Site::kThreadDeath, /*first=*/1, /*period=*/0, 0, scope.tid());
-  EXPECT_FALSE(fault::DeathRequested());
-  runtime::PreemptPoint();  // the thread fault point evaluates kThreadDeath
-  EXPECT_TRUE(fault::DeathRequested());
-  fault::Disarm(Site::kThreadDeath);
-  fault::ClearDeathRequests();
-  EXPECT_FALSE(fault::DeathRequested());
-}
-
 // The skip list's removal winner retires its tower once an unlink pass no longer sees
 // it. A reinsertion of the same key that read the tower unmarked can snip it at
 // level 0 and link itself *ahead* of it at level 1; a pass that stops at the first
@@ -663,13 +734,13 @@ TEST_F(FaultTest, StalledThreadWorkloadStaysBoundedAndDrains) {
       << "nodes stranded after the stall cleared";
 }
 
-// Regression: a thread that honors a kThreadDeath request (abandons its workload
-// loop at a preempt point and exits without any explicit cleanup) must still have its
-// magazines and free set adopted — the registry exit-hook chain is the only teardown
-// that runs, exactly as in the harness death scenarios. A victim whose exit scan is
-// fully conservative (kSplitsBump gate) strands its free set in the deferred list;
-// its magazine-cached blocks must flow back to the shared free lists.
-TEST_F(FaultTest, DeathRequestedThreadHandsOverMagazinesAndFreeSet) {
+// Regression: a thread that abandons its workload loop and exits without any explicit
+// cleanup must still have its magazines and free set adopted — the registry exit-hook
+// chain is the only teardown that runs, exactly as in the harness death scenarios. A
+// victim whose exit scan is fully conservative (kSplitsBump gate) strands its free
+// set in the deferred list; its magazine-cached blocks must flow back to the shared
+// free lists.
+TEST_F(FaultTest, AbandoningThreadHandsOverMagazinesAndFreeSet) {
   runtime::ThreadScope scope;
   core::StConfig config;
   config.max_free = 4;
@@ -684,8 +755,8 @@ TEST_F(FaultTest, DeathRequestedThreadHandsOverMagazinesAndFreeSet) {
   void* free_set_blocks[kFreeSet] = {};
 
   fault::ArmGate(Site::kSplitsBump);  // the victim's exit scan keeps everything
-  std::atomic<uint32_t> victim_tid{runtime::kInvalidThreadId};
-  std::atomic<bool> armed{false};
+  std::atomic<bool> ready{false};
+  std::atomic<bool> abandon{false};
   std::thread victim([&] {
     runtime::ThreadScope inner;
     core::StContext& ctx = domain.AcquireHandle();
@@ -702,29 +773,19 @@ TEST_F(FaultTest, DeathRequestedThreadHandsOverMagazinesAndFreeSet) {
       b = pool.Alloc(32);
       ctx.MutableFreeSet().push_back(b);
     }
-    victim_tid.store(inner.tid(), std::memory_order_release);
-    while (!armed.load(std::memory_order_acquire)) {
+    ready.store(true, std::memory_order_release);
+    while (!abandon.load(std::memory_order_acquire)) {
       sched_yield();
     }
-    while (!fault::DeathRequested()) {
-      runtime::PreemptPoint();  // the thread fault point evaluates kThreadDeath
-      sched_yield();
-    }
-    // Cooperative death: return with no explicit cleanup. ThreadScope deregistration
-    // (exit-hook chain: context reap + magazine flush) is all the teardown there is.
+    // Abandon the workload: return with no explicit cleanup. ThreadScope
+    // deregistration (exit-hook chain: context reap + magazine flush) is all the
+    // teardown there is.
   });
-  while (victim_tid.load(std::memory_order_acquire) == runtime::kInvalidThreadId) {
+  while (!ready.load(std::memory_order_acquire)) {
     sched_yield();
   }
-  fault::ArmNthVisit(Site::kThreadDeath, /*first=*/1, /*period=*/0, 0,
-                     victim_tid.load(std::memory_order_acquire));
-  armed.store(true, std::memory_order_release);
+  abandon.store(true, std::memory_order_release);
   victim.join();
-  EXPECT_NE(fault::DeathMask() &
-                (uint64_t{1} << victim_tid.load(std::memory_order_acquire)),
-            0u)
-      << "the victim should have died via the injected request";
-  fault::Disarm(Site::kThreadDeath);
   fault::Disarm(Site::kSplitsBump);
 
   // Free set adopted: the conservative exit scan stranded it in the deferred list;

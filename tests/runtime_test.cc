@@ -1,5 +1,5 @@
 // Unit tests for the runtime substrate: PRNGs, backoff, barrier, latch, thread
-// registry, machine model, and the preemption hook.
+// registry, machine model, and the preemption point (the kThreadStall fault site).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,6 +11,7 @@
 #include "runtime/backoff.h"
 #include "runtime/barrier.h"
 #include "runtime/cacheline.h"
+#include "runtime/fault.h"
 #include "runtime/machine_model.h"
 #include "runtime/preempt.h"
 #include "runtime/rand.h"
@@ -215,7 +216,7 @@ TEST(MachineModelTest, CapacityShrinksPastPhysicalCores) {
 }
 
 TEST(PreemptTest, DisarmedHookNeverSleeps) {
-  DisarmPreemption();
+  fault::DisarmAll();
   const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < 1000000; ++i) {
     PreemptPoint();
@@ -226,25 +227,22 @@ TEST(PreemptTest, DisarmedHookNeverSleeps) {
 }
 
 TEST(PreemptTest, ArmedHookSleepsApproximatelyAtRate) {
-  // Probabilistic: 256 visits at p=1/64 miss entirely with probability (63/64)^256
-  // ~ 1.8%, which is far too flaky for a single-shot assertion. Re-run the bounded
-  // experiment until a sleep is observed; 8 independent attempts push the false-
-  // failure rate below 1e-13 while any real regression (hook never sleeping) still
-  // fails fast.
-  ArmPreemption(1.0 / 64.0, 1000);  // ~1 ms sleep per 64 visits
-  bool slept = false;
-  for (int attempt = 0; attempt < 8 && !slept; ++attempt) {
-    const auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < 256; ++i) {
-      PreemptPoint();
-    }
-    const double ms =
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
-            .count();
-    slept = ms > 0.5;
+  // The runner's preemption schedule: kThreadStall fires with probability 1/64 per
+  // visit and each fire sleeps 1 ms. 2048 visits expect 32 fires; fewer than 9 or
+  // more than 95 has probability below 1e-6.
+  fault::ArmProbability(fault::Site::kThreadStall, 1.0 / 64.0, /*seed=*/0x5eed,
+                        /*payload=*/1000);
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 2048; ++i) {
+    PreemptPoint();
   }
-  DisarmPreemption();
-  EXPECT_TRUE(slept) << "no injected sleep observed in 8x256 armed visits";
+  const double ms =
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start).count();
+  const uint64_t fires = fault::Fires(fault::Site::kThreadStall);
+  fault::Disarm(fault::Site::kThreadStall);
+  EXPECT_GT(fires, 8u);
+  EXPECT_LT(fires, 96u);
+  EXPECT_GE(ms, static_cast<double>(fires)) << "each fire sleeps at least 1 ms";
 }
 
 }  // namespace

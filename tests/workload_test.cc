@@ -10,7 +10,8 @@
 //   * histogram buckets contain the values mapped into them, values below the
 //     sub-bucket width are exact, and merging per-thread histograms is identical to
 //     recording everything into one (the runner's post-join merge step);
-//   * the runner's Stats delta comes from the domain, so every scheme reports it;
+//   * the runner's Stats delta comes from the domain, so every scheme reports it, and
+//     an oversubscribed run arms the preemption schedule for its window only;
 //   * EnvConfig parses the ST_BENCH_* knobs and rejects any value that is not wholly
 //     a number in range (these cases only parse; none starts a worker).
 #include <cstdlib>
@@ -24,6 +25,8 @@
 #include "bench/workload/scenario.h"
 #include "ds/list.h"
 #include "gtest/gtest.h"
+#include "runtime/fault.h"
+#include "runtime/machine_model.h"
 #include "runtime/thread_registry.h"
 #include "smr/hazard.h"
 
@@ -341,6 +344,30 @@ TEST(RunnerTest, StatsDeltaComesFromTheDomain) {
   const RunResult result = RunMapScenario<smr::HazardSmr>(list, scenario);
   EXPECT_GT(result.ops_by_kind[static_cast<uint32_t>(OpKind::kRemove)], 0u);
   EXPECT_GT(result.stats.retires, 0u);
+}
+
+// Past the machine model's hardware contexts the runner arms kThreadStall as the
+// preemption schedule for the measured window, and disarms it afterwards.
+TEST(RunnerTest, OversubscribedRunArmsPreemptionForTheWindowOnly) {
+  runtime::MachineConfig machine;
+  machine.physical_cores = 1;
+  machine.smt_ways = 1;
+  machine.preempt_prob = 1.0;  // every traversal step fires...
+  machine.preempt_delay_us = 0;  // ...without sleeping
+  runtime::MachineModel::Instance().Configure(machine);
+  Scenario scenario;
+  scenario.keys.key_range = 64;
+  scenario.prefill = 32;
+  scenario.threads = 2;
+  scenario.duration_ms = 20;
+  scenario.measure_latency = false;
+  ds::LockFreeList<smr::HazardSmr> list;
+  ASSERT_FALSE(runtime::fault::AnyArmed());
+  const RunResult result = RunMapScenario<smr::HazardSmr>(list, scenario);
+  runtime::MachineModel::Instance().Configure(runtime::MachineConfig{});
+  EXPECT_GT(result.total_ops, 0u);
+  EXPECT_GT(runtime::fault::Fires(runtime::fault::Site::kThreadStall), 0u);
+  EXPECT_FALSE(runtime::fault::AnyArmed()) << "the run left a fault site armed";
 }
 
 // ---- EnvConfig ------------------------------------------------------------------
